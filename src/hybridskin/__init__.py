@@ -27,6 +27,7 @@ from .raycast import Bvh, Ray, TriangleSet, raycast_brute_force
 from .sc import (ElectrodeModel, InterferenceCalibration, MeasurementSpec,
                  ScSample, TableModel, calibrate_interference, capacitance,
                  fit_snr_table, measure_counts, schedule_streams)
-from .tof import NO_TARGET, ToFFrame, ToFSpec, capture_frame, zone_ray
+from .tof import (NO_TARGET, ToFFrame, ToFSpec, capture_frame, capture_frames,
+                  zone_ray)
 
 __version__ = "0.1.0"

@@ -152,16 +152,9 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
         raise ValueError("no chain mounts match the manifest sites")
 
     records = []
-    caster_cache = {}
-
-    def caster_at(t):
-        if t not in caster_cache:
-            caster_cache[t] = tof.SceneRaycaster([m for m, _ in scene.at(t)])
-        return caster_cache[t]
-
     for stream_idx, mount in enumerate(mounts):
         rng = np.random.default_rng([cfg["seed"], 0, stream_idx])
-        sc_times, tof_times = sc.schedule_streams(duration, meas, tof_spec.rate, rng)
+        sc_times, _ = sc.schedule_streams(duration, meas, tof_spec.rate, rng)
 
         sc_rng = np.random.default_rng([cfg["seed"], 1, stream_idx])
         electrode = sc.ElectrodeModel(
@@ -180,13 +173,20 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
             counts = sc.measure_counts(c, meas, tof_active, sc_rng)
             records.append(logs.sc_record(sc.ScSample(mount.site_id, float(t), counts)))
 
-        tof_rng = np.random.default_rng([cfg["seed"], 2, stream_idx])
-        for t in tof_times:
-            q = trajectory.value_at(float(t))
-            pose = forward_kinematics(chain, q)[mount.link_index].compose(mount.local)
-            frame = tof.capture_frame(mount.site_id, pose, caster_at(float(t)),
-                                      float(t), tof_spec, tof_rng)
-            records.append(logs.tof_record(frame))
+    # ToF frames are strictly periodic and shared by every mount, so each
+    # frame time poses the chain and builds the scene BVH once, and casts
+    # all mounts' zone rays as one packet. The BVH is dropped with the call.
+    tof_rngs = [np.random.default_rng([cfg["seed"], 2, stream_idx])
+                for stream_idx in range(len(mounts))]
+    sensor_ids = [m.site_id for m in mounts]
+    for t in tof.frame_times(duration, tof_spec):
+        t = float(t)
+        links = forward_kinematics(chain, trajectory.value_at(t))
+        poses = [links[m.link_index].compose(m.local) for m in mounts]
+        frames = tof.capture_frames(sensor_ids, poses,
+                                    tof.SceneRaycaster([m for m, _ in scene.at(t)]),
+                                    t, tof_spec, tof_rngs)
+        records.extend(logs.tof_record(f) for f in frames)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     logs.write_log(out_dir / "samples.jsonl", logs.merge_records(records))

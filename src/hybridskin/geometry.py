@@ -176,17 +176,16 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
     rng = np.random.default_rng(seed)
     pos, face_idx, bary = sample_surface(dermis, candidate_budget, rng)
 
+    # One keepout at a time: a (candidates, keepouts, 3) array would take
+    # tens of MB, and glibc keeps the heap of later calls that large.
     keepouts = list(keepouts)
-    if keepouts:
-        centers = np.array([k.center for k in keepouts], dtype=np.float64)
-        normals = np.array([k.normal for k in keepouts], dtype=np.float64)
-        radii = np.array([k.radius for k in keepouts], dtype=np.float64) + radius
-        rel = pos[:, None, :] - centers[None, :, :]
-        axial = np.einsum("ijk,jk->ij", rel, normals)
-        inplane_sq = np.einsum("ijk,ijk->ij", rel, rel) - axial * axial
-        blocked = np.any(inplane_sq < radii[None, :] ** 2, axis=1)
-    else:
-        blocked = np.zeros(candidate_budget, dtype=bool)
+    blocked = np.zeros(len(pos), dtype=bool)
+    for k in keepouts:
+        rel = pos - np.asarray(k.center, dtype=np.float64)
+        axial = np.einsum("ij,j->i", rel, np.asarray(k.normal, dtype=np.float64))
+        inplane_sq = np.einsum("ij,ij->i", rel, rel) - axial * axial
+        r = float(k.radius) + radius
+        blocked |= inplane_sq < r * r
 
     # Greedy dart throwing with a grid hash: a conflict closer than
     # `spacing` can only sit in the same or an adjacent cell.

@@ -4,6 +4,10 @@ Each frame casts one center ray per zone of an nx x ny grid spanning the
 configured field of view, returning the nearest surface distance up to
 max_range with additive Gaussian range noise. Zones that hit nothing in
 range report NO_TARGET (NaN distance, valid=False).
+
+capture_frames takes every sensor that fires at one instant and casts all
+of their zone rays as one packet through Bvh.raycast_many; capture_frame
+is its one-sensor case.
 """
 
 import math
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import Pose
+from .kinematics import Pose, quat_to_matrix
 from .raycast import Bvh, Ray, TriangleSet
 
 NO_TARGET = float("nan")
@@ -82,31 +86,54 @@ class SceneRaycaster:
         self.tris = TriangleSet.from_meshes(meshes)
         self.bvh = Bvh(self.tris)
 
-    def cast(self, ray: Ray, max_range: float):
-        hit = self.bvh.raycast(ray, max_range=max_range)
-        return None if hit is None else hit[0]
+
+def _zone_rays(poses, spec: ToFSpec):
+    """World-frame zone rays of every pose: (S*nx*ny, 3) origins, directions.
+
+    Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits that
+    zone_ray gives. Pose.rotate multiplies a 1x3 row by a transposed 3x3
+    view and np.linalg.norm takes a dot product; the stacked matmuls below
+    pass each row through the same kernels with the same memory layout,
+    which a (n, 3) @ (3, 3) product or an einsum norm would not.
+    """
+    local = np.array([zone_direction_local(i, j, spec)
+                      for i in range(spec.nx) for j in range(spec.ny)])
+    rot = np.array([quat_to_matrix(p.rotation) for p in poses]).reshape(-1, 3, 3)
+    d = np.matmul(local[None, :, None, :], rot.transpose(0, 2, 1)[:, None])
+    norm = np.sqrt(np.matmul(d, d.transpose(0, 1, 3, 2)))
+    origins = np.array([p.translation for p in poses], dtype=np.float64).reshape(-1, 3)
+    return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
+
+
+def capture_frames(sensor_ids, poses, raycaster: SceneRaycaster, t: float,
+                   spec: ToFSpec, rngs):
+    """One frame per sensor at time t, all zone rays cast in one packet.
+
+    1 ray per zone, Gaussian range noise, clamp to (0, max_range]. Each
+    sensor's noise grid is drawn from its own rng once per frame regardless
+    of hits, so the rng streams do not depend on scene content.
+    """
+    if not len(sensor_ids) == len(poses) == len(rngs):
+        raise ValueError("capture_frames needs one pose and one rng per sensor")
+    shape = (spec.nx, spec.ny)
+    noise = [rng.normal(0.0, spec.range_noise_sigma, size=shape)
+             if spec.range_noise_sigma > 0.0 else np.zeros(shape) for rng in rngs]
+    origins, directions = _zone_rays(poses, spec)
+    dist, idx = raycaster.bvh.raycast_many(origins, directions, spec.max_range)
+    dist = dist.reshape((-1,) + shape)
+    valid = idx.reshape((-1,) + shape) >= 0
+    frames = []
+    for k, sensor_id in enumerate(sensor_ids):
+        d = np.minimum(np.maximum(dist[k] + noise[k], _MIN_DISTANCE), spec.max_range)
+        frames.append(ToFFrame(sensor_id=sensor_id, timestamp=float(t),
+                               distances=np.where(valid[k], d, NO_TARGET), valid=valid[k]))
+    return frames
 
 
 def capture_frame(sensor_id: int, sensor_pose: Pose, raycaster: SceneRaycaster,
                   t: float, spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
-    """One frame: 1 ray per zone, Gaussian range noise, clamp to (0, max_range].
-
-    The noise grid is drawn once per frame regardless of hits, so the rng
-    stream does not depend on scene content.
-    """
-    noise = rng.normal(0.0, spec.range_noise_sigma, size=(spec.nx, spec.ny)) \
-        if spec.range_noise_sigma > 0.0 else np.zeros((spec.nx, spec.ny))
-    distances = np.full((spec.nx, spec.ny), NO_TARGET)
-    valid = np.zeros((spec.nx, spec.ny), dtype=bool)
-    for i in range(spec.nx):
-        for j in range(spec.ny):
-            d = raycaster.cast(zone_ray(sensor_pose, i, j, spec), spec.max_range)
-            if d is None:
-                continue
-            distances[i, j] = min(max(d + noise[i, j], _MIN_DISTANCE), spec.max_range)
-            valid[i, j] = True
-    return ToFFrame(sensor_id=sensor_id, timestamp=float(t),
-                    distances=distances, valid=valid)
+    """One sensor's frame; see capture_frames."""
+    return capture_frames([sensor_id], [sensor_pose], raycaster, t, spec, [rng])[0]
 
 
 def frame_times(duration: float, spec: ToFSpec):

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +152,27 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out3),
                  "--seed", "99"]) == 0
     assert (out1 / "samples.jsonl").read_bytes() != (out3 / "samples.jsonl").read_bytes()
+
+
+def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeypatch):
+    from hybridskin import raycast
+    cfg = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
+    built = []
+    build = raycast.Bvh.__init__
+
+    def tracked_build(self, *args, **kwargs):
+        # The previous frame time's BVH is gone before the next is built.
+        assert all(ref() is None for ref in built)
+        build(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(raycast.Bvh, "__init__", tracked_build)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    tof = [r for r in read_log(out / "samples.jsonl") if r["type"] == "tof"]
+    assert len(tof) == 3 * 12
+    assert len(built) == 12  # 12 Hz over 1 s, shared by the three mounts
+    assert all(ref() is None for ref in built)
 
 
 def test_simulate_missing_input_exits_3(tmp_path, capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hybridskin.kinematics import Pose
-from hybridskin.mesh import make_plane_patch
+from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
+from hybridskin.raycast import raycast_brute_force
 from hybridskin.tof import (SceneRaycaster, ToFFrame, ToFSpec, capture_frame,
-                            frame_times, zone_angles, zone_direction_local,
-                            zone_ray)
+                            capture_frames, frame_times, zone_angles,
+                            zone_direction_local, zone_ray)
 
 
 def wall_caster(z=2.0, size=20.0):
@@ -116,6 +117,66 @@ def test_noise_sigma_matches_sample_statistics():
     residuals = np.concatenate([r.ravel() for r in residuals])
     assert residuals.std() == pytest.approx(0.01, rel=0.15)
     assert abs(residuals.mean()) < 0.002
+
+
+def cluttered_caster():
+    return SceneRaycaster([make_uv_sphere(0.3, 12, 24), make_box((1.0, 1.0, 1.0)),
+                           make_plane_patch(6, 6, 3, 3, center=(0, 0, -0.7))])
+
+
+def random_poses(rng, n):
+    poses = []
+    for _ in range(n):
+        q = rng.normal(size=4)
+        poses.append(Pose(tuple(q / np.linalg.norm(q)), tuple(rng.uniform(-1.5, 1.5, 3))))
+    return poses
+
+
+def test_capture_frames_equals_per_sensor_capture_frame():
+    spec = ToFSpec(range_noise_sigma=0.05)
+    caster = cluttered_caster()
+    poses = random_poses(np.random.default_rng(5), 12)
+    ids = list(range(20, 32))
+    batch = capture_frames(ids, poses, caster, 0.25, spec,
+                           [np.random.default_rng([3, k]) for k in ids])
+    assert len(batch) == len(ids)
+    n_valid = 0
+    for k, frame in zip(ids, batch):
+        single = capture_frame(k, poses[k - 20], caster, 0.25, spec,
+                               np.random.default_rng([3, k]))
+        assert frame.sensor_id == k and frame.timestamp == 0.25
+        assert np.array_equal(frame.distances, single.distances, equal_nan=True)
+        assert np.array_equal(np.isnan(frame.distances), ~frame.valid)
+        assert np.array_equal(frame.valid, single.valid)
+        n_valid += int(frame.valid.sum())
+    assert 0 < n_valid < 64 * len(ids)  # both hits and misses were compared
+
+
+def test_capture_frames_rays_are_the_zone_rays():
+    # Noiseless distances equal brute-force casts of zone_ray's rays bit for
+    # bit, so the packet builds each zone ray with zone_ray's arithmetic.
+    spec = ToFSpec(range_noise_sigma=0.0)
+    caster = cluttered_caster()
+    poses = random_poses(np.random.default_rng(6), 6)
+    frames = capture_frames(list(range(6)), poses, caster, 0.0, spec,
+                            [np.random.default_rng(0)] * 6)
+    for pose, frame in zip(poses, frames):
+        for i in range(spec.nx):
+            for j in range(spec.ny):
+                hit = raycast_brute_force(caster.tris, zone_ray(pose, i, j, spec),
+                                          spec.max_range)
+                if hit is None:
+                    assert not frame.valid[i, j]
+                else:
+                    assert frame.distances[i, j] == max(hit[0], 1e-6)
+
+
+def test_capture_frames_needs_one_pose_and_rng_per_sensor():
+    spec = ToFSpec()
+    with pytest.raises(ValueError):
+        capture_frames([0, 1], [Pose.identity()], wall_caster(), 0.0, spec,
+                       [np.random.default_rng(0)] * 2)
+    assert capture_frames([], [], wall_caster(), 0.0, spec, []) == []
 
 
 def test_frame_times_are_strictly_periodic():
