@@ -86,76 +86,111 @@ def extrude_covering(dermis: TriMesh, spec: OffsetSpec, strict: bool = False) ->
 
 
 def _handle_self_intersections(mesh: TriMesh, strict: bool, what: str):
-    pairs = self_intersections(mesh, max_pairs=1 if strict else 16)
+    cap = 1 if strict else 16
+    pairs = self_intersections(mesh, max_pairs=cap)
     if pairs:
-        msg = f"{what} self-intersects ({len(pairs)} crossing face pair(s), e.g. {pairs[0]})"
+        count = f"at least {len(pairs)}" if len(pairs) == cap else str(len(pairs))
+        msg = f"{what} self-intersects ({count} crossing face pair(s), e.g. {pairs[0]})"
         if strict:
             raise SelfIntersectionError(msg)
         logger.warning(msg)
 
 
+# Candidate (face, face) rows the broad phase holds at once.
+SWEEP_BLOCK_ROWS = 1 << 17
+
+
 def self_intersections(mesh: TriMesh, max_pairs: int = 16):
     """Crossing (non-adjacent) face pairs, found by edge-vs-triangle tests.
 
-    Pairs sharing a vertex are skipped, as are coplanar overlaps - the check
-    targets surface fold-over from offsetting, which always produces proper
-    crossings.
+    Returns the first max_pairs crossing pairs (a, b), a < b, in
+    lexicographic order (a max_pairs below 1 counts as 1). Pairs sharing a
+    vertex are skipped, as are coplanar overlaps - the check targets surface
+    fold-over from offsetting, which always produces proper crossings.
+
+    Broad phase: sweep and prune. The faces are sorted by the low end of
+    their bounding box on the axis of largest extent; each face's candidates
+    are the later faces whose box starts no further along that axis than its
+    own box ends (touching boxes count). The sorted faces are expanded to
+    candidate rows in blocks of at most SWEEP_BLOCK_ROWS rows (one face's
+    candidates are never split), and the rows whose boxes also overlap on
+    the other two axes go to one row-wise edge-vs-triangle test.
     """
+    faces = mesh.faces
+    n = len(faces)
+    if n < 2:
+        return []
     tri = mesh.triangles()
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
-    n = mesh.n_faces
-    found = []
-    # Broad phase: AABB overlap, chunked to bound memory.
-    chunk = max(1, min(n, 20_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        overlap = np.all(lo[start:stop, None, :] <= hi[None, :, :], axis=2)
-        overlap &= np.all(hi[start:stop, None, :] >= lo[None, :, :], axis=2)
-        ii, jj = np.nonzero(overlap)
-        ii = ii + start
-        keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
-        for a, b in zip(ii, jj):
-            fa, fb = mesh.faces[a], mesh.faces[b]
-            if set(fa.tolist()) & set(fb.tolist()):
-                continue
-            if _triangles_cross(tri[a], tri[b]):
-                found.append((int(a), int(b)))
-                if len(found) >= max_pairs:
-                    return found
-    return found
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    others = [k for k in range(3) if k != axis]
+    order = np.argsort(lo[:, axis], kind="stable")
+    end = np.searchsorted(lo[order, axis], hi[order, axis], side="right")
+    count = end - np.arange(1, n + 1)  # >= 0, as every box has lo <= hi
+    first_row = np.concatenate(([0], np.cumsum(count)))
+
+    found_a, found_b = [], []
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(first_row, first_row[start] + SWEEP_BLOCK_ROWS,
+                                   side="right")) - 1
+        stop = min(n, max(start + 1, stop))
+        c = count[start:stop]
+        # Row r of face a pairs it with the r-th sorted face after it.
+        a = np.repeat(np.arange(start, stop), c)
+        b = a + 1 + np.arange(len(a)) - np.repeat(first_row[start:stop] - first_row[start], c)
+        start = stop
+        a, b = order[a], order[b]
+        # On the sweep axis the boxes overlap by construction.
+        keep = np.ones(len(a), dtype=bool)
+        for k in others:
+            keep &= (lo[a, k] <= hi[b, k]) & (hi[a, k] >= lo[b, k])
+        a, b = a[keep], b[keep]
+        shared = (faces[a][:, :, None] == faces[b][:, None, :]).any(axis=(1, 2))
+        a, b = a[~shared], b[~shared]
+        ta, tb = tri[a], tri[b]
+        cross = _edges_pierce(ta, tb) | _edges_pierce(tb, ta)
+        found_a.append(np.minimum(a[cross], b[cross]))
+        found_b.append(np.maximum(a[cross], b[cross]))
+
+    fa = np.concatenate(found_a)
+    fb = np.concatenate(found_b)
+    first = np.lexsort((fb, fa))[:max(max_pairs, 1)]
+    return [(int(x), int(y)) for x, y in zip(fa[first], fb[first])]
 
 
-def _triangles_cross(ta, tb):
-    return _any_edge_pierces(ta, tb) or _any_edge_pierces(tb, ta)
+def _rowdot(x, y):
+    """Row-wise dot product; each row equals np.dot of that pair bit for bit."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _any_edge_pierces(tri_edges, tri_target):
-    v0, v1, v2 = tri_target
-    e1 = v1 - v0
-    e2 = v2 - v0
+def _edges_pierce(src, dst):
+    """Row k: does an edge of triangle src[k] cross the interior of dst[k]?
+
+    Moller-Trumbore on edge segments with strict interior bounds, so that
+    touching and coplanar contact is not a crossing.
+    """
     eps = 1e-12
-    for k in range(3):
-        o = tri_edges[k]
-        d = tri_edges[(k + 1) % 3] - o
-        p = np.cross(d, e2)
-        det = np.dot(e1, p)
-        if abs(det) < eps:
-            continue
-        inv = 1.0 / det
-        s = o - v0
-        u = np.dot(s, p) * inv
-        if u <= eps or u >= 1.0 - eps:
-            continue
-        q = np.cross(s, e1)
-        v = np.dot(d, q) * inv
-        if v <= eps or u + v >= 1.0 - eps:
-            continue
-        t = np.dot(e2, q) * inv
-        if eps < t < 1.0 - eps:
-            return True
-    return False
+    v0 = dst[:, 0]
+    e1 = dst[:, 1] - v0
+    e2 = dst[:, 2] - v0
+    hit = np.zeros(len(src), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(3):
+            o = src[:, k]
+            d = src[:, (k + 1) % 3] - o
+            p = np.cross(d, e2)
+            det = _rowdot(e1, p)
+            inv = 1.0 / det
+            s = o - v0
+            u = _rowdot(s, p) * inv
+            q = np.cross(s, e1)
+            v = _rowdot(d, q) * inv
+            t = _rowdot(e2, q) * inv
+            hit |= ((np.abs(det) >= eps) & (u > eps) & (u < 1.0 - eps) & (v > eps)
+                    & (u + v < 1.0 - eps) & (t > eps) & (t < 1.0 - eps))
+    return hit
 
 
 def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,

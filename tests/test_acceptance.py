@@ -170,10 +170,13 @@ def test_criterion_5_bvh_matches_brute_force():
             origins = rng.uniform(-3, 3, size=(10_000, 3))
             dirs = rng.normal(size=(10_000, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            for o, d in zip(origins, dirs):
+            many_t, many_idx = bvh.raycast_many(origins, dirs)
+            for k, (o, d) in enumerate(zip(origins, dirs)):
                 ray = Ray(tuple(o), tuple(d))
                 expect = raycast_brute_force(tris, ray)
-                got = bvh.raycast(ray)
+                got = None if many_idx[k] < 0 else (float(many_t[k]), int(many_idx[k]))
+                if k % 100 == 0:
+                    assert bvh.raycast(ray) == got
                 if expect is None:
                     assert got is None
                 else:

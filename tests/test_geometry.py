@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridskin import geometry
 from hybridskin.errors import PlacementError, SelfIntersectionError
 from hybridskin.geometry import (Footprint, OffsetSpec, extrude_covering,
                                  generate_supports, offset_surface,
@@ -102,6 +103,172 @@ def test_concave_crease_offset_raises_in_strict_mode():
     # non-strict mode returns the folded surface and only warns
     out = offset_surface(patch, OffsetSpec(0.005), strict=False)
     assert len(self_intersections(out)) > 0
+
+
+# ---------------------------------------------------------------------------
+# self_intersections
+# ---------------------------------------------------------------------------
+
+def reference_self_intersections(mesh, max_pairs=16):
+    """All-pairs AABB test and a scalar per-pair narrow phase, in row-major order."""
+    tri = mesh.triangles()
+    lo = tri.min(axis=1)
+    hi = tri.max(axis=1)
+    found = []
+    overlap = np.all(lo[:, None, :] <= hi[None, :, :], axis=2)
+    overlap &= np.all(hi[:, None, :] >= lo[None, :, :], axis=2)
+    for a, b in zip(*np.nonzero(np.triu(overlap, k=1))):
+        if set(mesh.faces[a].tolist()) & set(mesh.faces[b].tolist()):
+            continue
+        if reference_edges_pierce(tri[a], tri[b]) or reference_edges_pierce(tri[b], tri[a]):
+            found.append((int(a), int(b)))
+            if len(found) >= max_pairs:
+                return found
+    return found
+
+
+def reference_edges_pierce(tri_edges, tri_target):
+    v0, v1, v2 = tri_target
+    e1 = v1 - v0
+    e2 = v2 - v0
+    eps = 1e-12
+    for k in range(3):
+        o = tri_edges[k]
+        d = tri_edges[(k + 1) % 3] - o
+        p = np.cross(d, e2)
+        det = np.dot(e1, p)
+        if abs(det) < eps:
+            continue
+        inv = 1.0 / det
+        s = o - v0
+        u = np.dot(s, p) * inv
+        if u <= eps or u >= 1.0 - eps:
+            continue
+        q = np.cross(s, e1)
+        v = np.dot(d, q) * inv
+        if v <= eps or u + v >= 1.0 - eps:
+            continue
+        t = np.dot(e2, q) * inv
+        if eps < t < 1.0 - eps:
+            return True
+    return False
+
+
+def jittered_sphere(seed, scale=0.006):
+    """A 16x32 sphere of radius 0.05 whose vertices are jittered into fold-overs."""
+    sphere = make_uv_sphere(0.05, 16, 32)
+    rng = np.random.default_rng(seed)
+    return TriMesh.from_arrays(
+        sphere.vertices + rng.normal(scale=scale, size=sphere.vertices.shape), sphere.faces)
+
+
+def crossing_pair(shared_vertex=False):
+    """Triangle b's long edge pierces triangle a; optionally they share vertex 0."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+             [0, 0, 0], [0.5, 0.2, 1.0], [0.2, 0.5, -1.0]]
+    faces = [[0, 1, 2], [0 if shared_vertex else 3, 4, 5]]
+    return TriMesh.from_arrays(np.array(verts, dtype=np.float64), faces)
+
+
+def assert_matches_reference(mesh, max_pairs):
+    got = self_intersections(mesh, max_pairs=max_pairs)
+    assert got == reference_self_intersections(mesh, max_pairs=max_pairs)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_self_intersections_match_reference_on_folded_meshes(seed):
+    mesh = jittered_sphere(seed)
+    every = assert_matches_reference(mesh, 10**9)
+    assert len(every) > 16
+    assert every == sorted(every) and all(a < b for a, b in every)
+    for max_pairs in (1, 16):
+        assert assert_matches_reference(mesh, max_pairs) == every[:max_pairs]
+
+
+def test_self_intersections_are_the_same_in_small_sweep_blocks(monkeypatch):
+    mesh = jittered_sphere(3)
+    every = self_intersections(mesh, max_pairs=10**9)
+    monkeypatch.setattr(geometry, "SWEEP_BLOCK_ROWS", 5)
+    assert self_intersections(mesh, max_pairs=10**9) == every
+    assert self_intersections(mesh, max_pairs=16) == every[:16]
+
+
+def test_self_intersections_of_boxes_that_only_touch():
+    # Tilted triangles in unit cells of a 3x3x3 grid: neighbouring boxes
+    # share a coordinate on one axis. A crossing pair in the next cell
+    # along x touches the grid's boxes at x = 3.
+    verts, faces = [], []
+    for x in range(3):
+        for y in range(3):
+            for z in range(3):
+                base = len(verts)
+                verts += [[x, y, z], [x + 1, y + 0.5, z + 1], [x + 0.5, y + 1, z + 0.25]]
+                faces.append([base, base + 1, base + 2])
+    pair = crossing_pair()
+    faces += (pair.faces + len(verts)).tolist()
+    verts += (pair.vertices + [3.0, 0.0, 0.0]).tolist()
+    mesh = TriMesh.from_arrays(np.array(verts), faces)
+    assert assert_matches_reference(mesh, 10**9) == [(27, 28)]
+
+
+def test_self_intersections_of_empty_and_single_face_meshes():
+    empty = TriMesh.from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    single = TriMesh.from_arrays(np.eye(3), [[0, 1, 2]])
+    for mesh in (empty, single):
+        assert assert_matches_reference(mesh, 16) == []
+
+
+def test_self_intersections_with_zero_area_faces():
+    pair = crossing_pair()
+    verts = pair.vertices.tolist() + [[0.1, 0.6, -1.0], [0.1, 0.6, 0.0], [0.1, 0.6, 1.0],
+                                      [5.0, 5.0, 5.0]]
+    faces = pair.faces.tolist() + [[6, 7, 8],   # collinear corners, pierces face 0
+                                   [9, 9, 9]]   # a single point
+    mesh = TriMesh.from_arrays(np.array(verts), faces)
+    assert assert_matches_reference(mesh, 10**9) == [(0, 1), (0, 2)]
+
+
+def test_self_intersections_keep_strict_eps_bounds():
+    # A pierce point within 1e-13 of the target's edge is not a crossing,
+    # nor is a crossing whose edge/triangle determinant is below 1e-12.
+    pair = crossing_pair()
+    graze = [[0.5, 0.5 - 1e-13, -1.0], [0.5, 0.5 - 1e-13, 1.0], [0.5, 0.5 - 1e-13, 2.0]]
+    inside = [[0.5, 0.5 - 1e-9, -1.0], [0.5, 0.5 - 1e-9, 1.0], [0.5, 0.5 - 1e-9, 2.0]]
+    mesh = TriMesh.from_arrays(np.array(pair.vertices.tolist() + graze + inside),
+                               pair.faces.tolist() + [[6, 7, 8], [9, 10, 11]])
+    assert assert_matches_reference(mesh, 10**9) == [(0, 1), (0, 3)]
+    tiny = TriMesh.from_arrays(pair.vertices * 1e-5, pair.faces)
+    assert assert_matches_reference(tiny, 16) == []
+
+
+def test_self_intersections_of_flat_patch_are_none():
+    patch = make_plane_patch(0.1, 0.1, 12, 12)
+    assert np.ptp(patch.vertices[:, 2]) == 0.0
+    assert assert_matches_reference(patch, 10**9) == []
+
+
+def test_faces_sharing_a_vertex_are_skipped_even_when_they_cross():
+    assert assert_matches_reference(crossing_pair(shared_vertex=False), 16) == [(0, 1)]
+    assert assert_matches_reference(crossing_pair(shared_vertex=True), 16) == []
+
+
+def test_coplanar_overlapping_faces_are_skipped():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                      [0.2, 0.2, 0], [1.2, 0.3, 0], [0.1, 0.9, 0]], dtype=np.float64)
+    mesh = TriMesh.from_arrays(verts, [[0, 1, 2], [3, 4, 5]])
+    assert assert_matches_reference(mesh, 16) == []
+
+
+def test_self_intersection_warning_says_at_least_when_capped(caplog):
+    with caplog.at_level("WARNING", logger="hybridskin.geometry"):
+        geometry._handle_self_intersections(jittered_sphere(0), False, "folded")
+        geometry._handle_self_intersections(crossing_pair(), False, "crossed")
+    capped, uncapped = [r.message for r in caplog.records]
+    assert "(at least 16 crossing face pair(s), e.g. (" in capped
+    assert "(1 crossing face pair(s), e.g. (0, 1))" in uncapped
+    with pytest.raises(SelfIntersectionError, match=r"at least 1 crossing"):
+        geometry._handle_self_intersections(crossing_pair(), True, "crossed")
 
 
 # ---------------------------------------------------------------------------
