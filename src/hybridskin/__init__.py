@@ -19,7 +19,7 @@ from .geometry import (Footprint, OffsetSpec, extrude_covering,
                        generate_supports, offset_surface, self_intersections)
 from .kinematics import (Joint, JointTrajectory, KinematicChain, Pose, Scene,
                          SceneObject, SensorMount, forward_kinematics,
-                         scene_at, sensor_world_pose)
+                         mount_poses)
 from .layout import (MountSpec, RingSpec, SkinAssembly, SurfaceSite,
                      compose_skin, instance_mount, instance_ring, sample_sites)
 from .mesh import Material, TriMesh, validate_mesh
@@ -28,6 +28,6 @@ from .sc import (ElectrodeModel, InterferenceCalibration, MeasurementSpec,
                  ScSample, TableModel, calibrate_interference, capacitance,
                  fit_snr_table, measure_counts, schedule_streams)
 from .tof import (NO_TARGET, ToFFrame, ToFSpec, capture_frame, capture_frames,
-                  zone_ray)
+                  zone_ray, zone_rays)
 
 __version__ = "0.1.0"

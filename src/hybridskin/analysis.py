@@ -7,6 +7,7 @@ the trajectory), emitting one point per valid zone. SNR follows
 contact verdict at a configurable threshold (default 7).
 """
 
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,9 +16,9 @@ import numpy as np
 
 from .errors import (DegenerateSignalError, InsufficientSamplesError,
                      UnknownSensorError)
-from .kinematics import JointTrajectory, KinematicChain, forward_kinematics
+from .kinematics import JointTrajectory, KinematicChain, mount_poses
 from .sc import TABLE_COLUMNS, TableModel, simulate_cell_counts
-from .tof import ToFSpec, zone_direction_local
+from .tof import ToFSpec, zone_rays
 
 DEFAULT_SNR_THRESHOLD = 7.0
 
@@ -48,33 +49,39 @@ class PointCloud:
 
 def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
                 spec: ToFSpec, mounts=None) -> PointCloud:
-    """World-space point per valid zone of every frame.
+    """World-space point per valid zone of every frame, in frame then zone order.
 
-    Frames reference mounts by sensor_id == mount site_id. Raises
-    UnknownSensorError for unmatched frames and DomainError (from the
-    trajectory) for timestamps outside its domain.
+    Frames reference mounts by sensor_id == mount site_id. Each run of
+    consecutive frames that share a timestamp poses the chain once and
+    back-projects along the zone rays that simulate casts (tof.zone_rays).
+    Raises UnknownSensorError for unmatched frames and DomainError (from
+    the trajectory) for timestamps outside its domain.
     """
     mounts = chain.sensor_mounts if mounts is None else mounts
     by_site = {m.site_id: m for m in mounts}
-    dirs_local = np.stack([zone_direction_local(i, j, spec)
-                           for i in range(spec.nx) for j in range(spec.ny)])
-    points, ids, times = [], [], []
-    for frame in frames:
+
+    def mount_of(frame):
         mount = by_site.get(frame.sensor_id)
         if mount is None:
             raise UnknownSensorError(f"no mount for sensor id {frame.sensor_id}")
-        q = trajectory.value_at(frame.timestamp)
-        pose = forward_kinematics(chain, q)[mount.link_index].compose(mount.local)
-        flat_d = frame.distances.reshape(-1)
-        flat_v = frame.valid.reshape(-1)
-        for z in np.nonzero(flat_v)[0]:
-            p = pose.apply(flat_d[z] * dirs_local[z])
-            points.append(p)
-            ids.append(frame.sensor_id)
-            times.append(frame.timestamp)
+        return mount
+
+    n_zones = spec.nx * spec.ny
+    points, ids, times = [], [], []
+    for t, run in itertools.groupby(frames, key=lambda f: f.timestamp):
+        run = list(run)
+        first = mount_of(run[0])  # its sensor is checked before the timestamp
+        q = trajectory.value_at(t)
+        poses = mount_poses(chain, q, [first] + [mount_of(f) for f in run[1:]])
+        origins, directions = zone_rays(poses, spec)
+        d = np.concatenate([f.distances.reshape(-1) for f in run])
+        valid = np.concatenate([f.valid.reshape(-1) for f in run])
+        points.append(origins[valid] + d[valid, None] * directions[valid])
+        ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
+        times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
     if not points:
         return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
-    return PointCloud(np.asarray(points), np.asarray(ids), np.asarray(times))
+    return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ import numpy as np
 from . import analysis, config as cfgmod, layout, logs, meshio, sc, tof
 from .errors import CalibrationError, SkinError
 from .geometry import OffsetSpec, extrude_covering, offset_surface
-from .kinematics import (Pose, Scene, SceneObject, forward_kinematics,
-                         load_chain, load_trajectory)
+from .kinematics import (Pose, Scene, SceneObject, load_chain, load_trajectory,
+                         mount_poses)
 from .mesh import (concat_meshes, make_box, make_cylinder,
                    make_plane_patch, make_uv_sphere, validate_mesh)
-from .raycast import TriangleSet, point_mesh_distance
+from .raycast import Bvh, TriangleSet, point_mesh_distance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -154,7 +154,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     records = []
     for stream_idx, mount in enumerate(mounts):
         rng = np.random.default_rng([cfg["seed"], 0, stream_idx])
-        sc_times, _ = sc.schedule_streams(duration, meas, tof_spec.rate, rng)
+        sc_times = sc.schedule_streams(duration, meas, rng)
 
         sc_rng = np.random.default_rng([cfg["seed"], 1, stream_idx])
         electrode = sc.ElectrodeModel(
@@ -162,8 +162,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
             d0=electrode_base.d0, t_cov=electrode_base.t_cov,
             delta_max=electrode_base.delta_max)
         for t in sc_times:
-            q = trajectory.value_at(float(t))
-            pose = forward_kinematics(chain, q)[mount.link_index].compose(mount.local)
+            [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
             d = _conductive_distance(scene, float(t), pose.translation)
             if d is None:
                 c = sc.capacitance(electrode, None)
@@ -181,11 +180,10 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     sensor_ids = [m.site_id for m in mounts]
     for t in tof.frame_times(duration, tof_spec):
         t = float(t)
-        links = forward_kinematics(chain, trajectory.value_at(t))
-        poses = [links[m.link_index].compose(m.local) for m in mounts]
-        frames = tof.capture_frames(sensor_ids, poses,
-                                    tof.SceneRaycaster([m for m, _ in scene.at(t)]),
-                                    t, tof_spec, tof_rngs)
+        poses = mount_poses(chain, trajectory.value_at(t), mounts)
+        frames = tof.capture_frames(
+            sensor_ids, poses, Bvh(TriangleSet.from_meshes([m for m, _ in scene.at(t)])),
+            t, tof_spec, tof_rngs)
         records.extend(logs.tof_record(f) for f in frames)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,15 +197,11 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
 
 
 def _conductive_distance(scene: Scene, t: float, point):
-    """Distance from a point to the nearest conductive scene surface."""
-    best = None
-    for mesh, conductive in scene.at(t):
-        if not conductive:
-            continue
-        d = point_mesh_distance(point, TriangleSet(mesh.vertices, mesh.faces))
-        if best is None or d < best:
-            best = d
-    return best
+    """Distance from a point to the nearest conductive scene surface (None if none)."""
+    meshes = [mesh for mesh, conductive in scene.at(t) if conductive]
+    if not meshes:
+        return None
+    return point_mesh_distance(point, TriangleSet.from_meshes(meshes))
 
 
 # ---------------------------------------------------------------------------

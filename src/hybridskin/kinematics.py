@@ -195,12 +195,6 @@ class KinematicChain:
     def n_joints(self):
         return len(self.joints)
 
-    def mount_by_site(self, site_id):
-        for i, m in enumerate(self.sensor_mounts):
-            if m.site_id == site_id:
-                return i, m
-        return None
-
 
 def forward_kinematics(chain: KinematicChain, q) -> list:
     """World pose of every link (base first) for joint values q."""
@@ -214,10 +208,10 @@ def forward_kinematics(chain: KinematicChain, q) -> list:
     return poses
 
 
-def sensor_world_pose(chain: KinematicChain, q, mount_index: int) -> Pose:
-    mount = chain.sensor_mounts[mount_index]  # IndexError is the contract
-    link_poses = forward_kinematics(chain, q)
-    return link_poses[mount.link_index].compose(mount.local)
+def mount_poses(chain: KinematicChain, q, mounts) -> list:
+    """World pose of each mount for joint values q, from one forward pass."""
+    links = forward_kinematics(chain, q)
+    return [links[m.link_index].compose(m.local) for m in mounts]
 
 
 @dataclass
@@ -296,10 +290,6 @@ class Scene:
             else:
                 posed.append((obj.mesh, obj.conductive))
         return posed
-
-
-def scene_at(scene: Scene, t: float):
-    return scene.at(t)
 
 
 # ---------------------------------------------------------------------------

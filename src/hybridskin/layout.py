@@ -19,6 +19,7 @@ from .mesh import Material, TriMesh, sample_surface
 
 BARY_TOL = 1e-9
 DEFAULT_COUPLING_GAP = 0.001  # m, radial clearance between mount and ring
+_CLEAR_ROWS = 1 << 16  # (point, site) rows per distance test in sample_sites
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,23 @@ class SkinAssembly:
             if sid not in known:
                 raise ValueError(f"mount references unknown site {sid}")
 
-    def site_by_id(self, site_id):
-        for s in self.sites:
-            if s.site_id == site_id:
-                return s
-        raise KeyError(site_id)
+
+def _clear_of(points, sites, min_sq):
+    """Mask of the points whose squared distance to every site is >= min_sq.
+
+    Each (point, site) row goes through the same einsum as a one-point
+    test, so the distances carry the same bits whatever the batch size.
+    At most _CLEAR_ROWS rows are held at once.
+    """
+    clear = np.ones(len(points), dtype=bool)
+    if len(sites) == 0:
+        return clear
+    step = max(1, _CLEAR_ROWS // len(sites))
+    for s in range(0, len(points), step):
+        diff = (sites[None, :, :] - points[s:s + step, None, :]).reshape(-1, 3)
+        d2 = np.einsum("ij,ij->i", diff, diff).reshape(-1, len(sites))
+        clear[s:s + step] = ~np.any(d2 < min_sq, axis=1)
+    return clear
 
 
 def sample_sites(dermis: TriMesh, count: int, min_dist: float, seed: int,
@@ -121,15 +134,16 @@ def sample_sites(dermis: TriMesh, count: int, min_dist: float, seed: int,
                 f"(min_dist={min_dist})")
         n = min(batch, max_attempts - attempts)
         pos, face_idx, bary = sample_surface(dermis, n, rng)
+        # The whole batch against the sites accepted before it in one pass;
+        # a survivor then only needs the sites this batch has accepted.
+        clear = _clear_of(pos, np.asarray([a[0] for a in accepted]), min_sq)
+        fresh = []
         for c in range(n):
             attempts += 1
-            p = pos[c]
-            if accepted:
-                existing = np.asarray([a[0] for a in accepted])
-                d2 = np.einsum("ij,ij->i", existing - p, existing - p)
-                if np.any(d2 < min_sq):
-                    continue
-            accepted.append((p, int(face_idx[c]), bary[c]))
+            if not clear[c] or not _clear_of(pos[c:c + 1], pos[fresh], min_sq)[0]:
+                continue
+            fresh.append(c)
+            accepted.append((pos[c], int(face_idx[c]), bary[c]))
             if len(accepted) == count:
                 break
 

@@ -58,10 +58,6 @@ class TriMesh:
     def copy(self):
         return TriMesh(self.vertices.copy(), self.faces.copy(), self.face_material.copy())
 
-    def with_material(self, material):
-        tags = np.full(self.n_faces, int(material), dtype=np.int8)
-        return TriMesh(self.vertices.copy(), self.faces.copy(), tags)
-
     def triangles(self):
         """Face corner positions, shape (m, 3, 3)."""
         return self.vertices[self.faces]
@@ -105,17 +101,8 @@ class TriMesh:
         f = self.faces
         return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
 
-    def boundary_edge_count(self):
-        e = np.sort(self.edges(), axis=1)
-        _, counts = np.unique(e, axis=0, return_counts=True)
-        return int(np.sum(counts == 1))
-
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def translated(self, offset):
-        return TriMesh(self.vertices + np.asarray(offset, dtype=np.float64),
-                       self.faces.copy(), self.face_material.copy())
 
     def transformed(self, rotation_matrix, translation):
         v = self.vertices @ np.asarray(rotation_matrix, dtype=np.float64).T

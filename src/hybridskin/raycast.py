@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import concat_meshes
+
 _DET_EPS = 1e-12
 UNIT_TOL = 1e-9
 # Node boxes grow by this fraction of the scene's largest coordinate, so a
@@ -77,16 +79,8 @@ class TriangleSet:
 
     @classmethod
     def from_meshes(cls, meshes):
-        meshes = list(meshes)
-        if not meshes:
-            return cls(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-        verts, faces = [], []
-        offset = 0
-        for m in meshes:
-            verts.append(m.vertices)
-            faces.append(m.faces + offset)
-            offset += m.n_vertices
-        return cls(np.vstack(verts), np.vstack(faces))
+        merged = concat_meshes(meshes)
+        return cls(merged.vertices, merged.faces)
 
 
 def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):

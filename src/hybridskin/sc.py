@@ -123,23 +123,19 @@ def expected_counts(c: float, spec: MeasurementSpec) -> int:
 def measure_counts(c: float, spec: MeasurementSpec, tof_active: bool,
                    rng: np.random.Generator) -> int:
     """One count measurement: ideal count + Gaussian noise, clamped at 0."""
-    n = expected_counts(c, spec)
-    sigma = spec.sigma(tof_active)
-    if sigma > 0.0:
-        n = int(round(n + rng.normal(0.0, sigma)))
-    return max(n, 0)
+    return int(measure_counts_array(c, spec, tof_active, rng, 1)[0])
 
 
-def schedule_streams(duration: float, sc_spec: MeasurementSpec, tof_rate: float,
+def schedule_streams(duration: float, sc_spec: MeasurementSpec,
                      rng: np.random.Generator):
-    """Sample timestamps for the two unfused streams over [0, duration).
+    """SC sample timestamps over [0, duration).
 
-    SC gaps are drawn uniformly so the instantaneous rate stays within
-    rate +/- jitter; ToF frames are strictly periodic. The streams share no
-    clock alignment beyond both starting at t = 0.
+    Gaps are drawn uniformly so the instantaneous rate stays within
+    rate +/- jitter. The ToF stream is strictly periodic (tof.frame_times);
+    the two share no clock alignment beyond both starting at t = 0.
     """
     if duration <= 0.0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0)
     gap_lo = 1.0 / (sc_spec.rate + sc_spec.rate_jitter)
     gap_hi = 1.0 / (sc_spec.rate - sc_spec.rate_jitter)
     sc_times = [0.0]
@@ -148,9 +144,7 @@ def schedule_streams(duration: float, sc_spec: MeasurementSpec, tof_rate: float,
         if nxt >= duration:
             break
         sc_times.append(nxt)
-    n_tof = int(math.ceil(duration * tof_rate - 1e-12))
-    tof_times = np.arange(n_tof, dtype=np.float64) / tof_rate
-    return np.asarray(sc_times), tof_times
+    return np.asarray(sc_times)
 
 
 @dataclass(frozen=True)
@@ -280,7 +274,7 @@ def fit_snr_table(table=None, calibration_column: str = "no_covering",
 
 def measure_counts_array(c: float, spec: MeasurementSpec, tof_active: bool,
                          rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized batch of measure_counts draws (same distribution)."""
+    """n count measurements: ideal count + Gaussian noise, rounded, clamped at 0."""
     base = expected_counts(c, spec)
     sigma = spec.sigma(tof_active)
     if sigma == 0.0:

@@ -5,18 +5,21 @@ configured field of view, returning the nearest surface distance up to
 max_range with additive Gaussian range noise. Zones that hit nothing in
 range report NO_TARGET (NaN distance, valid=False).
 
-capture_frames takes every sensor that fires at one instant and casts all
-of their zone rays as one packet through Bvh.raycast_many; capture_frame
-is its one-sensor case.
+zone_rays is the one definition of where each zone looks: capture_frames
+casts along it and analysis.reconstruct back-projects along it.
+capture_frames casts the zone rays of every sensor that fires at one
+instant as one packet through a Bvh of the posed scene; capture_frame is
+its one-sensor case.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import Pose, quat_to_matrix
-from .raycast import Bvh, Ray, TriangleSet
+from .raycast import Bvh, Ray
 
 NO_TARGET = float("nan")
 _MIN_DISTANCE = 1e-6  # reported distances stay strictly positive
@@ -79,15 +82,16 @@ def zone_ray(sensor_pose: Pose, i: int, j: int, spec: ToFSpec) -> Ray:
     return Ray(origin=sensor_pose.translation, direction=tuple(d))
 
 
-class SceneRaycaster:
-    """BVH over the posed scene geometry at one instant."""
+@functools.lru_cache(maxsize=8)
+def _local_zone_directions(spec: ToFSpec):
+    """zone_direction_local of every zone, row i*ny + j; read-only."""
+    local = np.array([zone_direction_local(i, j, spec)
+                      for i in range(spec.nx) for j in range(spec.ny)])
+    local.flags.writeable = False
+    return local
 
-    def __init__(self, meshes):
-        self.tris = TriangleSet.from_meshes(meshes)
-        self.bvh = Bvh(self.tris)
 
-
-def _zone_rays(poses, spec: ToFSpec):
+def zone_rays(poses, spec: ToFSpec):
     """World-frame zone rays of every pose: (S*nx*ny, 3) origins, directions.
 
     Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits that
@@ -96,8 +100,7 @@ def _zone_rays(poses, spec: ToFSpec):
     pass each row through the same kernels with the same memory layout,
     which a (n, 3) @ (3, 3) product or an einsum norm would not.
     """
-    local = np.array([zone_direction_local(i, j, spec)
-                      for i in range(spec.nx) for j in range(spec.ny)])
+    local = _local_zone_directions(spec)
     rot = np.array([quat_to_matrix(p.rotation) for p in poses]).reshape(-1, 3, 3)
     d = np.matmul(local[None, :, None, :], rot.transpose(0, 2, 1)[:, None])
     norm = np.sqrt(np.matmul(d, d.transpose(0, 1, 3, 2)))
@@ -105,8 +108,7 @@ def _zone_rays(poses, spec: ToFSpec):
     return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
 
 
-def capture_frames(sensor_ids, poses, raycaster: SceneRaycaster, t: float,
-                   spec: ToFSpec, rngs):
+def capture_frames(sensor_ids, poses, bvh: Bvh, t: float, spec: ToFSpec, rngs):
     """One frame per sensor at time t, all zone rays cast in one packet.
 
     1 ray per zone, Gaussian range noise, clamp to (0, max_range]. Each
@@ -118,8 +120,8 @@ def capture_frames(sensor_ids, poses, raycaster: SceneRaycaster, t: float,
     shape = (spec.nx, spec.ny)
     noise = [rng.normal(0.0, spec.range_noise_sigma, size=shape)
              if spec.range_noise_sigma > 0.0 else np.zeros(shape) for rng in rngs]
-    origins, directions = _zone_rays(poses, spec)
-    dist, idx = raycaster.bvh.raycast_many(origins, directions, spec.max_range)
+    origins, directions = zone_rays(poses, spec)
+    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
     dist = dist.reshape((-1,) + shape)
     valid = idx.reshape((-1,) + shape) >= 0
     frames = []
@@ -130,10 +132,10 @@ def capture_frames(sensor_ids, poses, raycaster: SceneRaycaster, t: float,
     return frames
 
 
-def capture_frame(sensor_id: int, sensor_pose: Pose, raycaster: SceneRaycaster,
-                  t: float, spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
+def capture_frame(sensor_id: int, sensor_pose: Pose, bvh: Bvh, t: float,
+                  spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
     """One sensor's frame; see capture_frames."""
-    return capture_frames([sensor_id], [sensor_pose], raycaster, t, spec, [rng])[0]
+    return capture_frames([sensor_id], [sensor_pose], bvh, t, spec, [rng])[0]
 
 
 def frame_times(duration: float, spec: ToFSpec):

@@ -14,7 +14,7 @@ from hybridskin.analysis import (build_cell_logs, evaluate_configurations,
 from hybridskin.cli import main
 from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
 from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
-                                   Pose, SensorMount, forward_kinematics)
+                                   Pose, SensorMount, mount_poses)
 from hybridskin.layout import MountSpec, RingSpec, compose_skin, sample_sites
 from hybridskin.logs import read_log
 from hybridskin.mesh import (make_cylinder, make_plane_patch, make_uv_sphere,
@@ -23,7 +23,7 @@ from hybridskin.raycast import Bvh, Ray, TriangleSet, raycast_brute_force
 from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
                            fit_snr_table, measure_counts_array,
                            schedule_streams)
-from hybridskin.tof import SceneRaycaster, ToFSpec, capture_frame, frame_times
+from hybridskin.tof import ToFSpec, capture_frame, frame_times
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -128,15 +128,14 @@ def run_plane_capture(noise_sigma):
     spec = ToFSpec(range_noise_sigma=noise_sigma)
     chain, trajectory = five_sensor_rig()
     wall = make_plane_patch(30.0, 30.0, 2, 2, center=(0, 0, 2.0))
-    caster = SceneRaycaster([wall])
+    caster = Bvh(TriangleSet.from_meshes([wall]))
     frames = []
     times = frame_times(5.0, spec)
     assert len(times) == 60
     for sid, mount in enumerate(chain.sensor_mounts):
         rng = np.random.default_rng([123, sid])
         for t in times:
-            q = trajectory.value_at(float(t))
-            pose = forward_kinematics(chain, q)[1].compose(mount.local)
+            [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
             frames.append(capture_frame(sid, pose, caster, float(t), spec, rng))
     cloud = reconstruct(frames, chain, trajectory, spec)
     return cloud
@@ -240,7 +239,8 @@ def test_criterion_7_stream_rates():
         tof_spec = ToFSpec()
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            sc_times, tof_times = schedule_streams(10.0, spec, tof_spec.rate, rng)
+            sc_times = schedule_streams(10.0, spec, rng)
+            tof_times = frame_times(10.0, tof_spec)
             assert len(tof_times) == 120
             assert np.allclose(np.diff(tof_times), 1.0 / 12.0, atol=1e-12)
             rates = 1.0 / np.diff(sc_times)

@@ -9,11 +9,13 @@ from hybridskin.analysis import (ACTIVE_REST, ACTIVE_SQUEEZE, INACTIVE,
 from hybridskin.errors import (DegenerateSignalError, DomainError,
                                InsufficientSamplesError, UnknownSensorError)
 from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
-                                   Pose, SensorMount)
-from hybridskin.mesh import make_box, make_plane_patch
-from hybridskin.raycast import TriangleSet, point_mesh_distance
+                                   Pose, SensorMount, forward_kinematics,
+                                   mount_poses)
+from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
+from hybridskin.raycast import (Bvh, TriangleSet, point_mesh_distance,
+                               raycast_brute_force)
 from hybridskin.sc import ScSample, fit_snr_table
-from hybridskin.tof import SceneRaycaster, ToFSpec, capture_frame
+from hybridskin.tof import ToFSpec, capture_frame, capture_frames, zone_ray
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -110,8 +112,9 @@ def constant_trajectory(duration=10.0, n_joints=1):
 def test_single_frame_on_wall_fits_plane():
     spec = ToFSpec(range_noise_sigma=0.0)
     wall = make_plane_patch(20, 20, 2, 2, center=(0, 0, 2.0))
-    frame = capture_frame(0, Pose.identity(), SceneRaycaster([wall]), 0.0,
-                          spec, np.random.default_rng(0))
+    frame = capture_frame(0, Pose.identity(),
+                          Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
+                          np.random.default_rng(0))
     cloud = reconstruct([frame], static_chain(), constant_trajectory(), spec)
     assert len(cloud) == 64
     assert fit_plane_rms(cloud.points) < 1e-6
@@ -127,8 +130,9 @@ def test_empty_frame_list_gives_empty_cloud():
 def test_point_provenance_distance_matches_log():
     spec = ToFSpec(range_noise_sigma=0.0)
     wall = make_plane_patch(20, 20, 2, 2, center=(0, 0, 2.0))
-    frame = capture_frame(0, Pose.identity(), SceneRaycaster([wall]), 0.0,
-                          spec, np.random.default_rng(0))
+    frame = capture_frame(0, Pose.identity(),
+                          Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
+                          np.random.default_rng(0))
     cloud = reconstruct([frame], static_chain(), constant_trajectory(), spec)
     logged = frame.distances[frame.valid].ravel()
     recon = np.linalg.norm(cloud.points, axis=1)  # sensor sits at the origin
@@ -139,17 +143,14 @@ def test_orbiting_sensor_covers_hidden_box_faces():
     spec = ToFSpec(range_noise_sigma=0.0)
     chain = orbit_chain(radius=0.5)
     box = make_box((0.2, 0.2, 0.2))
-    caster = SceneRaycaster([box])
+    caster = Bvh(TriangleSet.from_meshes([box]))
     duration = 5.0
     traj = JointTrajectory(times=[0.0, duration], values=[[0.0], [2 * np.pi]])
     frames = []
     rng = np.random.default_rng(0)
     for k in range(60):
         t = k / 12.0
-        q = traj.value_at(t)
-        pose = None
-        from hybridskin.kinematics import forward_kinematics
-        pose = forward_kinematics(chain, q)[1].compose(chain.sensor_mounts[0].local)
+        [pose] = mount_poses(chain, traj.value_at(t), chain.sensor_mounts)
         frames.append(capture_frame(0, pose, caster, t, spec, rng))
     cloud = reconstruct(frames, chain, traj, spec)
     assert len(cloud) > 500
@@ -165,11 +166,72 @@ def test_orbiting_sensor_covers_hidden_box_faces():
     assert len(faces_seen) >= 3
 
 
+def three_sensor_orbit():
+    # Three sensors on one revolute link, each looking inward from its own
+    # angle and tilt at clutter around the joint axis.
+    mounts = []
+    for sid, (phi, tilt) in enumerate([(0.0, 0.1), (2.0, -0.2), (4.0, 0.3)]):
+        inward = Pose.from_axis_angle((0, 1, 0), -np.pi / 2 + tilt,
+                                      translation=(0.8, 0.0, 0.1 * sid))
+        mounts.append(SensorMount(1, Pose.from_axis_angle((0, 0, 1), phi).compose(inward),
+                                  sid))
+    chain = KinematicChain(joints=[Joint(axis=(0, 0, 1))], sensor_mounts=mounts)
+    traj = JointTrajectory(times=[0.0, 2.0], values=[[0.0], [1.5]])
+    scene = [make_uv_sphere(0.2, 10, 20), make_box((0.3, 0.3, 0.3), center=(0.1, 0, 0)),
+             make_plane_patch(3, 3, 2, 2, center=(0, 0, -0.4))]
+    return chain, traj, TriangleSet.from_meshes(scene)
+
+
+def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
+    spec = ToFSpec(range_noise_sigma=0.0)
+    chain, traj, tris = three_sensor_orbit()
+    bvh = Bvh(tris)
+    # A run of three sensors at t=0.5, a run at t=1.0, then t=0.5 again.
+    schedule = [(0.5, [0, 1, 2]), (1.0, [2, 0]), (0.5, [1, 2])]
+    frames = []
+    for t, sids in schedule:
+        poses = [forward_kinematics(chain, traj.value_at(t))[1].compose(
+            chain.sensor_mounts[sid].local) for sid in sids]
+        frames += capture_frames(sids, poses, bvh, t, spec,
+                                 [np.random.default_rng(0)] * len(sids))
+    cloud = reconstruct(frames, chain, traj, spec)
+
+    points, ids, times = [], [], []
+    for frame in frames:
+        mount = chain.sensor_mounts[frame.sensor_id]
+        pose = forward_kinematics(chain, traj.value_at(frame.timestamp))[1].compose(
+            mount.local)
+        for i in range(spec.nx):
+            for j in range(spec.ny):
+                ray = zone_ray(pose, i, j, spec)
+                hit = raycast_brute_force(tris, ray, spec.max_range)
+                assert frame.valid[i, j] == (hit is not None)
+                if hit is not None:
+                    t_hit = max(hit[0], 1e-6)
+                    points.append(np.add(ray.origin, t_hit * np.asarray(ray.direction)))
+                    ids.append(frame.sensor_id)
+                    times.append(frame.timestamp)
+    assert 0 < len(points) < 64 * len(frames)  # hits and misses both occur
+    assert np.abs(cloud.points - np.asarray(points)).max() <= 1e-12
+    assert np.array_equal(cloud.sensor_ids, ids)
+    assert np.array_equal(cloud.timestamps, times)
+
+
+def test_unknown_sensor_inside_a_run_raises():
+    spec = ToFSpec(range_noise_sigma=0.0)
+    chain, traj, tris = three_sensor_orbit()
+    frames = capture_frames([0, 99, 1], [Pose.identity()] * 3, Bvh(tris), 0.5, spec,
+                            [np.random.default_rng(0)] * 3)
+    with pytest.raises(UnknownSensorError):
+        reconstruct(frames, chain, traj, spec)
+
+
 def test_unknown_sensor_raises():
     spec = ToFSpec()
     wall = make_plane_patch(4, 4, 1, 1, center=(0, 0, 1.0))
-    frame = capture_frame(99, Pose.identity(), SceneRaycaster([wall]), 0.0,
-                          spec, np.random.default_rng(0))
+    frame = capture_frame(99, Pose.identity(),
+                          Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
+                          np.random.default_rng(0))
     with pytest.raises(UnknownSensorError):
         reconstruct([frame], static_chain(), constant_trajectory(), spec)
 
@@ -177,8 +239,9 @@ def test_unknown_sensor_raises():
 def test_frame_outside_trajectory_domain_raises():
     spec = ToFSpec()
     wall = make_plane_patch(4, 4, 1, 1, center=(0, 0, 1.0))
-    frame = capture_frame(0, Pose.identity(), SceneRaycaster([wall]), 99.0,
-                          spec, np.random.default_rng(0))
+    frame = capture_frame(0, Pose.identity(),
+                          Bvh(TriangleSet.from_meshes([wall])), 99.0, spec,
+                          np.random.default_rng(0))
     with pytest.raises(DomainError):
         reconstruct([frame], static_chain(), constant_trajectory(duration=1.0), spec)
 

@@ -1,5 +1,6 @@
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,45 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
     assert len(tof) == 3 * 12
     assert len(built) == 12  # 12 Hz over 1 s, shared by the three mounts
     assert all(ref() is None for ref in built)
+
+
+def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
+    # A far conductive box listed first, a nearer conductive box, and a
+    # still nearer non-conductive wall: the SC counts see only the nearer box.
+    from hybridskin import config as cfgmod, sc
+    from hybridskin.mesh import make_box
+    from hybridskin.raycast import TriangleSet, point_mesh_distance
+    cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1))
+    box = lambda z, conductive: {"name": f"box{z}", "conductive": conductive,
+                                 "primitive": {"kind": "box", "size": [0.2, 0.2, 0.2],
+                                               "center": [0.0, 0.0, z]}}
+    scene = {"objects": [
+        box(-1.0, True), box(0.5, True),
+        {"name": "wall", "conductive": False,
+         "primitive": {"kind": "plane", "width": 0.1, "height": 0.1,
+                       "nx": 1, "ny": 1, "center": [0.0, 0.0, 0.2]}}]}
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["simulation"]["scene"] = write_json(tmp_path / "boxes.json", scene)
+    cfg["sensing"]["measurement"] = {"count_noise": 0.0, "tof_interference": 0.0}
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    near = make_box((0.2, 0.2, 0.2), center=(0.0, 0.0, 0.5))
+    d = point_mesh_distance((0.0, 0.0, 0.0), TriangleSet(near.vertices, near.faces))
+    assert d == pytest.approx(0.4)
+    electrode = cfgmod.build_electrode(resolved)
+    delta = float(np.clip(electrode.t_cov - d, 0.0, electrode.delta_max))
+    expected = sc.expected_counts(
+        sc.capacitance(electrode.compressed(delta), d, conductive=True),
+        cfgmod.build_measurement_spec(resolved))
+    far = sc.expected_counts(sc.capacitance(electrode, 0.9, conductive=True),
+                             cfgmod.build_measurement_spec(resolved))
+    assert expected > far
+    counts = [r["counts"] for r in read_log(out / "samples.jsonl") if r["type"] == "sc"]
+    assert len(counts) >= 80
+    assert counts == [expected] * len(counts)
 
 
 def test_simulate_missing_input_exits_3(tmp_path, capsys):

@@ -5,9 +5,9 @@ from hybridskin.errors import DimensionError, DomainError
 from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, PRISMATIC, Scene, SceneObject,
                                    SensorMount, forward_kinematics, load_chain,
-                                   load_trajectory, quat_from_axis_angle,
-                                   save_chain, save_trajectory, scene_at,
-                                   sensor_world_pose)
+                                   load_trajectory, mount_poses,
+                                   quat_from_axis_angle, save_chain,
+                                   save_trajectory)
 from hybridskin.mesh import make_box
 
 
@@ -100,7 +100,7 @@ def test_two_link_planar_arm_against_matrix_oracle():
     assert np.allclose(link2.matrix(), oracle, atol=1e-12)
     assert np.allclose(link2.translation, (0.0, 0.3, 0.0), atol=1e-12)
     end = oracle @ trans(0.2, 0, 0)
-    tip = sensor_world_pose(chain, q, 0)
+    tip = mount_poses(chain, q, chain.sensor_mounts)[0]
     assert np.allclose(tip.matrix(), end, atol=1e-12)
     assert np.allclose(tip.translation, (0.2, 0.3, 0.0), atol=1e-12)
 
@@ -111,8 +111,8 @@ def test_random_configurations_match_matrix_oracle():
     for _ in range(25):
         q = rng.uniform(-np.pi, np.pi, size=2)
         oracle = rot_z(q[0]) @ trans(0.3, 0, 0) @ rot_z(q[1]) @ trans(0.2, 0, 0)
-        assert np.allclose(sensor_world_pose(chain, q, 0).matrix(), oracle,
-                           atol=1e-12)
+        [tip] = mount_poses(chain, q, chain.sensor_mounts)
+        assert np.allclose(tip.matrix(), oracle, atol=1e-12)
 
 
 def test_prismatic_joint_translates_along_axis():
@@ -132,7 +132,7 @@ def test_mount_with_identity_local_equals_link_pose():
     chain = KinematicChain(joints=joints,
                            sensor_mounts=[SensorMount(1, Pose.identity(), 0)])
     q = [0.7]
-    assert np.allclose(sensor_world_pose(chain, q, 0).matrix(),
+    assert np.allclose(mount_poses(chain, q, chain.sensor_mounts)[0].matrix(),
                        forward_kinematics(chain, q)[1].matrix())
 
 
@@ -181,8 +181,8 @@ def test_trajectory_requires_monotone_times():
 
 def test_static_scene_is_time_invariant():
     scene = Scene(objects=[SceneObject(mesh=make_box((1, 1, 1)))])
-    a = scene_at(scene, 0.0)[0][0]
-    b = scene_at(scene, 100.0)[0][0]
+    a = scene.at(0.0)[0][0]
+    b = scene.at(100.0)[0][0]
     assert np.array_equal(a.vertices, b.vertices)
 
 
@@ -191,7 +191,7 @@ def test_constant_velocity_mover():
         mesh=make_box((0.1, 0.1, 0.1)),
         keyframes=[(0.0, Pose()), (10.0, Pose(translation=(1.0, 0.0, 0.0)))])
     scene = Scene(objects=[mover])
-    posed, _ = scene_at(scene, 2.0)[0]
+    posed, _ = scene.at(2.0)[0]
     assert np.allclose(posed.vertices, mover.mesh.vertices + [0.2, 0.0, 0.0],
                        atol=1e-12)
 
@@ -223,8 +223,9 @@ def test_chain_json_round_trip(tmp_path):
     assert loaded.n_joints == 2
     assert loaded.sensor_mounts[0].site_id == 0
     q = [0.3, 0.7]
-    assert np.allclose(sensor_world_pose(loaded, q, 0).matrix(),
-                       sensor_world_pose(chain, q, 0).matrix(), atol=1e-15)
+    [a] = mount_poses(loaded, q, loaded.sensor_mounts)
+    [b] = mount_poses(chain, q, chain.sensor_mounts)
+    assert np.allclose(a.matrix(), b.matrix(), atol=1e-15)
 
 
 def test_trajectory_csv_round_trip(tmp_path):

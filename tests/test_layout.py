@@ -1,15 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from hybridskin import layout
 from hybridskin.errors import CouplingGapError, SaturationError
 from hybridskin.geometry import OffsetSpec, extrude_covering
 from hybridskin.layout import (MountSpec, RingSpec, SurfaceSite, compose_skin,
                                instance_mount, instance_ring, read_manifest,
                                sample_sites, write_manifest)
 from hybridskin.mesh import (Material, make_cylinder, make_plane_patch,
-                             validate_mesh)
+                             sample_surface, validate_mesh)
 
 
 def flat_site(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), site_id=0):
@@ -53,6 +55,51 @@ def test_sites_are_deterministic_per_seed():
     assert [s.position for s in a] == [s.position for s in b]
     c = sample_sites(patch, 10, 0.03, seed=6)
     assert [s.position for s in a] != [s.position for s in c]
+
+
+def reference_sample_sites(dermis, count, min_dist, seed, max_attempts):
+    """Dart throwing one candidate at a time: (positions, faces, barycentrics)."""
+    rng = np.random.default_rng(seed)
+    accepted, attempts = [], 0
+    while len(accepted) < count:
+        if attempts >= max_attempts:
+            raise SaturationError(
+                f"placed {len(accepted)}/{count} sites after {attempts} attempts "
+                f"(min_dist={min_dist})")
+        n = min(max(64, count), max_attempts - attempts)
+        pos, face_idx, bary = sample_surface(dermis, n, rng)
+        for c in range(n):
+            attempts += 1
+            if accepted:
+                existing = np.asarray([a[0] for a in accepted])
+                d2 = np.einsum("ij,ij->i", existing - pos[c], existing - pos[c])
+                if np.any(d2 < min_dist * min_dist):
+                    continue
+            accepted.append((pos[c], int(face_idx[c]), bary[c]))
+            if len(accepted) == count:
+                break
+    return accepted
+
+
+@pytest.mark.parametrize("clear_rows", [layout._CLEAR_ROWS, 5])
+def test_batched_sites_equal_one_at_a_time_dart_throwing(monkeypatch, clear_rows):
+    monkeypatch.setattr(layout, "_CLEAR_ROWS", clear_rows)
+    link = make_cylinder(0.06, 0.5, 48)
+    patch = make_plane_patch(0.2, 0.2, 8, 8)
+    cases = [(link, 40, 0.03, seed, 400_000) for seed in range(4)]
+    cases += [(patch, 60, 0.02, 1, 20_000), (patch, 30, 0.0, 2, 300_000),
+              (patch, 200, 0.05, 3, 5_000), (patch, 30, 0.04, 5, 3_000)]  # last two saturate
+    for mesh, count, min_dist, seed, budget in cases:
+        try:
+            ref = reference_sample_sites(mesh, count, min_dist, seed, budget)
+        except SaturationError as err:
+            with pytest.raises(SaturationError, match=f"^{re.escape(str(err))}$"):
+                sample_sites(mesh, count, min_dist, seed, max_attempts=budget)
+            continue
+        sites = sample_sites(mesh, count, min_dist, seed, max_attempts=budget)
+        assert [s.position for s in sites] == [tuple(p) for p, _, _ in ref]
+        assert [s.face_index for s in sites] == [f for _, f, _ in ref]
+        assert [s.barycentric for s in sites] == [tuple(b) for _, _, b in ref]
 
 
 def test_site_position_matches_barycentric_interpolation():

@@ -8,6 +8,7 @@ from hybridskin.sc import (ElectrodeModel, MeasurementSpec, ScSample,
                            calibrate_interference, capacitance, expected_counts,
                            fit_snr_table, measure_counts, measure_counts_array,
                            schedule_streams, simulate_cell_counts)
+from hybridskin.tof import ToFSpec, frame_times
 
 
 def covered_electrode(**kw):
@@ -122,6 +123,20 @@ def test_measure_counts_deterministic_and_nonnegative():
     assert a == b >= 0
 
 
+def test_measure_counts_draws_as_one_scalar_normal():
+    # One count is a size-1 batch draw; it consumes the rng as a scalar
+    # normal draw does, so logged counts do not depend on which path ran.
+    quiet = MeasurementSpec(count_noise=5.0, tof_interference=11.0)
+    wild = MeasurementSpec(count_noise=1000.0)  # reaches the clamp at 0
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for k in range(1000):
+        spec, tof_active = (quiet, wild)[k % 2], k % 3 == 0
+        n = expected_counts(10e-12, spec)
+        expected = max(int(round(n + twin.normal(0.0, spec.sigma(tof_active)))), 0)
+        assert measure_counts(10e-12, spec, tof_active, rng) == expected
+    assert rng.random() == twin.random()
+
+
 def test_scalar_and_array_paths_share_statistics():
     spec = MeasurementSpec(count_noise=7.0, tof_interference=0.0)
     scalars = np.array([measure_counts(10e-12, spec, False,
@@ -144,7 +159,8 @@ def test_sc_sample_rejects_negative_counts():
 
 def test_one_second_rates():
     spec = MeasurementSpec()
-    sc_t, tof_t = schedule_streams(1.0, spec, 12.0, np.random.default_rng(0))
+    sc_t = schedule_streams(1.0, spec, np.random.default_rng(0))
+    tof_t = frame_times(1.0, ToFSpec(rate=12.0))
     assert 40 <= len(sc_t) <= 44
     assert len(tof_t) == 12
     assert np.allclose(np.diff(tof_t), 1.0 / 12.0)
@@ -152,7 +168,7 @@ def test_one_second_rates():
 
 def test_sc_gaps_stay_within_rate_band():
     spec = MeasurementSpec(rate=42.0, rate_jitter=2.0)
-    sc_t, _ = schedule_streams(30.0, spec, 12.0, np.random.default_rng(4))
+    sc_t = schedule_streams(30.0, spec, np.random.default_rng(4))
     rates = 1.0 / np.diff(sc_t)
     assert rates.min() >= 40.0 - 1e-9
     assert rates.max() <= 44.0 + 1e-9
@@ -160,15 +176,16 @@ def test_sc_gaps_stay_within_rate_band():
 
 def test_short_horizon_yields_single_samples():
     spec = MeasurementSpec()
-    sc_t, tof_t = schedule_streams(0.01, spec, 12.0, np.random.default_rng(0))
+    sc_t = schedule_streams(0.01, spec, np.random.default_rng(0))
+    tof_t = frame_times(0.01, ToFSpec(rate=12.0))
     assert len(sc_t) == 1
     assert len(tof_t) == 1
 
 
 def test_schedule_is_deterministic():
     spec = MeasurementSpec()
-    a, _ = schedule_streams(5.0, spec, 12.0, np.random.default_rng(77))
-    b, _ = schedule_streams(5.0, spec, 12.0, np.random.default_rng(77))
+    a = schedule_streams(5.0, spec, np.random.default_rng(77))
+    b = schedule_streams(5.0, spec, np.random.default_rng(77))
     assert np.array_equal(a, b)
 
 

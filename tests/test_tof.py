@@ -3,15 +3,15 @@ import pytest
 
 from hybridskin.kinematics import Pose
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import raycast_brute_force
-from hybridskin.tof import (SceneRaycaster, ToFFrame, ToFSpec, capture_frame,
+from hybridskin.raycast import Bvh, TriangleSet, raycast_brute_force
+from hybridskin.tof import (ToFFrame, ToFSpec, capture_frame,
                             capture_frames, frame_times, zone_angles,
                             zone_direction_local, zone_ray)
 
 
 def wall_caster(z=2.0, size=20.0):
     wall = make_plane_patch(size, size, 2, 2, center=(0, 0, z))
-    return SceneRaycaster([wall])
+    return Bvh(TriangleSet.from_meshes([wall]))
 
 
 def test_single_zone_grid_fires_along_boresight():
@@ -65,7 +65,7 @@ def test_zone_ray_rotates_with_sensor_pose():
 
 def test_empty_scene_yields_all_no_target():
     spec = ToFSpec()
-    frame = capture_frame(0, Pose.identity(), SceneRaycaster([]), 0.0, spec,
+    frame = capture_frame(0, Pose.identity(), Bvh(TriangleSet.from_meshes([])), 0.0, spec,
                           np.random.default_rng(0))
     assert not frame.valid.any()
     assert np.all(np.isnan(frame.distances))
@@ -120,8 +120,9 @@ def test_noise_sigma_matches_sample_statistics():
 
 
 def cluttered_caster():
-    return SceneRaycaster([make_uv_sphere(0.3, 12, 24), make_box((1.0, 1.0, 1.0)),
-                           make_plane_patch(6, 6, 3, 3, center=(0, 0, -0.7))])
+    return Bvh(TriangleSet.from_meshes([
+        make_uv_sphere(0.3, 12, 24), make_box((1.0, 1.0, 1.0)),
+        make_plane_patch(6, 6, 3, 3, center=(0, 0, -0.7))]))
 
 
 def random_poses(rng, n):
