@@ -23,11 +23,11 @@ from .kinematics import (Joint, JointTrajectory, KinematicChain, Pose, Scene,
 from .layout import (MountSpec, RingSpec, SkinAssembly, SurfaceSite,
                      compose_skin, instance_mount, instance_ring, sample_sites)
 from .mesh import Material, TriMesh, validate_mesh
-from .raycast import Bvh, Ray, TriangleSet, raycast_brute_force
+from .raycast import Bvh, Ray, TriangleSet
 from .sc import (ElectrodeModel, InterferenceCalibration, MeasurementSpec,
                  ScSample, TableModel, calibrate_interference, capacitance,
                  fit_snr_table, measure_counts, schedule_streams)
 from .tof import (NO_TARGET, ToFFrame, ToFSpec, capture_frame, capture_frames,
-                  zone_ray, zone_rays)
+                  zone_rays)
 
 __version__ = "0.1.0"

@@ -21,6 +21,10 @@ from .sc import TABLE_COLUMNS, TableModel, simulate_cell_counts
 from .tof import ToFSpec, zone_rays
 
 DEFAULT_SNR_THRESHOLD = 7.0
+MIN_CELL_RINGS = 3        # rings per table cell
+MIN_CELL_SAMPLES = 1000   # inactive and active samples per ring
+# One-sided 99 % normal quantile: the pressure ordering is a 99 % claim.
+Z_99 = 2.3263
 
 INACTIVE = "INACTIVE"
 ACTIVE_REST = "ACTIVE_REST"
@@ -48,17 +52,17 @@ class PointCloud:
 
 
 def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
-                spec: ToFSpec, mounts=None) -> PointCloud:
+                spec: ToFSpec) -> PointCloud:
     """World-space point per valid zone of every frame, in frame then zone order.
 
-    Frames reference mounts by sensor_id == mount site_id. Each run of
-    consecutive frames that share a timestamp poses the chain once and
-    back-projects along the zone rays that simulate casts (tof.zone_rays).
+    Frames reference the chain's mounts by sensor_id == mount site_id.
+    Each run of consecutive frames that share a timestamp poses the chain
+    once and back-projects along the zone rays that simulate casts
+    (tof.zone_rays).
     Raises UnknownSensorError for unmatched frames and DomainError (from
     the trajectory) for timestamps outside its domain.
     """
-    mounts = chain.sensor_mounts if mounts is None else mounts
-    by_site = {m.site_id: m for m in mounts}
+    by_site = {m.site_id: m for m in chain.sensor_mounts}
 
     def mount_of(frame):
         mount = by_site.get(frame.sensor_id)
@@ -149,9 +153,6 @@ class TableReport:
     squeeze_above_rest: bool     # squeeze > rest in both rows
     all_contact: bool
 
-    def cell(self, column, with_tof) -> CellStats:
-        return self.cells[(column, bool(with_tof))]
-
     def csv_rows(self):
         rows = ["config,ring,mu_n,sigma_n,mu,snr,contact"]
         for (column, with_tof), stats in sorted(self.cells.items()):
@@ -179,23 +180,27 @@ class TableReport:
         return "\n".join(lines)
 
 
-def evaluate_configurations(cell_logs, threshold: float = DEFAULT_SNR_THRESHOLD,
-                            min_samples: int = 1000, min_rings: int = 3) -> TableReport:
-    """Per-cell SNR averaged over rings, with the expected orderings checked."""
+def evaluate_configurations(cell_logs,
+                            threshold: float = DEFAULT_SNR_THRESHOLD) -> TableReport:
+    """Per-cell SNR averaged over rings, with the expected orderings checked.
+
+    Every cell needs at least MIN_CELL_RINGS rings of at least
+    MIN_CELL_SAMPLES inactive and active samples each.
+    """
     grouped = {}
     for log in cell_logs:
         grouped.setdefault((log.column, bool(log.with_tof)), []).append(log)
 
     cells = {}
     for key, logs in grouped.items():
-        if len(logs) < min_rings:
+        if len(logs) < MIN_CELL_RINGS:
             raise InsufficientSamplesError(
-                f"cell {key} has {len(logs)} ring(s), need >= {min_rings}")
+                f"cell {key} has {len(logs)} ring(s), need >= {MIN_CELL_RINGS}")
         reports = []
         for log in sorted(logs, key=lambda l: l.ring):
-            if min(len(log.inactive), len(log.active)) < min_samples:
-                raise InsufficientSamplesError(
-                    f"cell {key} ring {log.ring} has fewer than {min_samples} samples")
+            if min(len(log.inactive), len(log.active)) < MIN_CELL_SAMPLES:
+                raise InsufficientSamplesError(f"cell {key} ring {log.ring} has fewer "
+                                               f"than {MIN_CELL_SAMPLES} samples")
             reports.append(snr(log.inactive, log.active, threshold, site_id=log.ring))
         values = np.array([r.snr for r in reports])
         cells[key] = CellStats(column=key[0], with_tof=key[1],
@@ -266,14 +271,9 @@ class PressureReport:
     site_id: int
     means: dict            # state -> mean counts (present states only)
     counts: dict           # state -> sample count
-    confidence: float
     squeeze_above_rest: bool
     rest_above_inactive: bool
     applicable: bool       # False when squeeze or rest data is missing
-
-    @property
-    def monotone(self):
-        return self.applicable and self.squeeze_above_rest and self.rest_above_inactive
 
 
 def _one_sided_z(hi, lo):
@@ -286,20 +286,12 @@ def _one_sided_z(hi, lo):
     return float((hi.mean() - lo.mean()) / denom)
 
 
-# One-sided normal quantiles for the confidence levels used in reports.
-_Z_QUANTILES = {0.95: 1.6449, 0.99: 2.3263, 0.999: 3.0902}
-
-
-def pressure_series(samples, labels: ActivityLabel, confidence: float = 0.99,
-                    min_samples: int = 2) -> PressureReport:
-    """Check counts(SQUEEZE) > counts(REST) > counts(INACTIVE) in expectation.
+def pressure_series(samples, labels: ActivityLabel) -> PressureReport:
+    """Check counts(SQUEEZE) > counts(REST) > counts(INACTIVE) at 99 % confidence.
 
     States with no labeled samples make the ordering not-applicable rather
-    than failing; present states need at least min_samples samples each.
+    than failing; present states need at least two samples each.
     """
-    if confidence not in _Z_QUANTILES:
-        raise ValueError(f"confidence must be one of {sorted(_Z_QUANTILES)}")
-    z_crit = _Z_QUANTILES[confidence]
     buckets = {state: [] for state in ACTIVITY_STATES}
     for s in samples:
         state = labels.state_at(s.timestamp)
@@ -307,24 +299,23 @@ def pressure_series(samples, labels: ActivityLabel, confidence: float = 0.99,
             buckets[state].append(s.counts)
     present = {k: np.asarray(v, dtype=np.float64) for k, v in buckets.items() if v}
     for state, vals in present.items():
-        if len(vals) < min_samples:
+        if len(vals) < 2:
             raise InsufficientSamplesError(
-                f"state {state} has {len(vals)} sample(s), need >= {min_samples}")
+                f"state {state} has {len(vals)} sample(s), need >= 2")
 
     applicable = ACTIVE_SQUEEZE in present and ACTIVE_REST in present
     squeeze_above_rest = False
     rest_above_inactive = False
     if applicable:
         squeeze_above_rest = _one_sided_z(present[ACTIVE_SQUEEZE],
-                                          present[ACTIVE_REST]) > z_crit
+                                          present[ACTIVE_REST]) > Z_99
         if INACTIVE in present:
             rest_above_inactive = _one_sided_z(present[ACTIVE_REST],
-                                               present[INACTIVE]) > z_crit
+                                               present[INACTIVE]) > Z_99
     return PressureReport(
         site_id=labels.site_id,
         means={k: float(v.mean()) for k, v in present.items()},
         counts={k: int(len(v)) for k, v in present.items()},
-        confidence=confidence,
         squeeze_above_rest=squeeze_above_rest,
         rest_above_inactive=rest_above_inactive,
         applicable=applicable)

@@ -109,7 +109,7 @@ def cmd_generate(cfg, out_dir: Path) -> int:
     merged = concat_meshes(
         [assembly.dermis, assembly.covering]
         + [m for _, m in assembly.rings]
-        + [m for _, m, _ in assembly.mounts]
+        + [m for _, m in assembly.mounts]
         + assembly.supports)
     material_files = meshio.save_stl_per_material(merged, out_dir / "skin.stl")
     meshio.save_obj(merged, out_dir / "skin.obj")
@@ -140,7 +140,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
 
     tof_spec = cfgmod.build_tof_spec(cfg)
     meas = cfgmod.build_measurement_spec(cfg)
-    electrode_base = cfgmod.build_electrode(cfg)
+    electrode = cfgmod.build_electrode(cfg)
     tof_active = bool(cfg["sensing"].get("tof_active", True))
 
     site_ids = None
@@ -157,10 +157,6 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
         sc_times = sc.schedule_streams(duration, meas, rng)
 
         sc_rng = np.random.default_rng([cfg["seed"], 1, stream_idx])
-        electrode = sc.ElectrodeModel(
-            site_id=mount.site_id, c0=electrode_base.c0, k=electrode_base.k,
-            d0=electrode_base.d0, t_cov=electrode_base.t_cov,
-            delta_max=electrode_base.delta_max)
         for t in sc_times:
             [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
             d = _conductive_distance(scene, float(t), pose.translation)
@@ -168,7 +164,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
                 c = sc.capacitance(electrode, None)
             else:
                 delta = float(np.clip(electrode.t_cov - d, 0.0, electrode.delta_max))
-                c = sc.capacitance(electrode.compressed(delta), d, conductive=True)
+                c = sc.capacitance(electrode.compressed(delta), d)
             counts = sc.measure_counts(c, meas, tof_active, sc_rng)
             records.append(logs.sc_record(sc.ScSample(mount.site_id, float(t), counts)))
 

@@ -121,8 +121,8 @@ def build_measurement_spec(config) -> MeasurementSpec:
     return MeasurementSpec(**config["sensing"]["measurement"])
 
 
-def build_electrode(config, site_id=0) -> ElectrodeModel:
-    return ElectrodeModel(site_id=site_id, **config["sensing"]["electrode"])
+def build_electrode(config) -> ElectrodeModel:
+    return ElectrodeModel(**config["sensing"]["electrode"])
 
 
 def build_ring_spec(config) -> RingSpec:

@@ -29,13 +29,10 @@ class OffsetSpec:
     """
 
     distance: float
-    direction: str = "OUTWARD"
 
     def __post_init__(self):
         if self.distance < 0.0:
             raise ValueError(f"offset distance must be >= 0, got {self.distance}")
-        if self.direction != "OUTWARD":
-            raise ValueError(f"unsupported offset direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,8 @@ def _handle_self_intersections(mesh: TriMesh, strict: bool, what: str):
 
 # Candidate (face, face) rows the broad phase holds at once.
 SWEEP_BLOCK_ROWS = 1 << 17
+# Candidate points drawn on the dermis per generate_supports call.
+SUPPORT_CANDIDATES = 20_000
 
 
 def self_intersections(mesh: TriMesh, max_pairs: int = 16):
@@ -195,32 +194,39 @@ def _edges_pierce(src, dst):
 
 def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
                       spacing: float, seed: int, radius: float = 0.002,
-                      segments: int = 12, candidate_budget: int = 20_000):
+                      segments: int = 12):
     """Distribute support cylinders between dermis and covering.
 
     Placement is saturated dart throwing: area-uniform candidate points on
     the dermis, accepted greedily when at least `spacing` from every
-    accepted support and clear of every keepout (in-plane distance from the
-    keepout center >= keepout radius + support radius). Deterministic for a
-    fixed seed. Raises PlacementError when nothing can be placed.
+    accepted support and clear of every keepout. A support's top sits at
+    the same barycentric position on the covering; the covering is offset
+    along vertex normals, so on a curved surface the top can lean into a
+    keepout that the base clears. Both ends must therefore keep an in-plane
+    distance from the keepout center >= keepout radius + support radius.
+    Deterministic for a fixed seed. Raises PlacementError when nothing can
+    be placed.
     """
     if covering.n_vertices != dermis.n_vertices or covering.n_faces != dermis.n_faces:
         raise ValueError("covering must be an offset copy of the dermis (same connectivity)")
     if spacing <= 0.0 or radius <= 0.0:
         raise ValueError("support spacing and radius must be > 0")
     rng = np.random.default_rng(seed)
-    pos, face_idx, bary = sample_surface(dermis, candidate_budget, rng)
+    pos, face_idx, bary = sample_surface(dermis, SUPPORT_CANDIDATES, rng)
+    top = np.einsum("ij,ijk->ik", bary, covering.vertices[covering.faces[face_idx]])
 
     # One keepout at a time: a (candidates, keepouts, 3) array would take
     # tens of MB, and glibc keeps the heap of later calls that large.
     keepouts = list(keepouts)
     blocked = np.zeros(len(pos), dtype=bool)
     for k in keepouts:
-        rel = pos - np.asarray(k.center, dtype=np.float64)
-        axial = np.einsum("ij,j->i", rel, np.asarray(k.normal, dtype=np.float64))
-        inplane_sq = np.einsum("ij,ij->i", rel, rel) - axial * axial
+        center = np.asarray(k.center, dtype=np.float64)
+        normal = np.asarray(k.normal, dtype=np.float64)
         r = float(k.radius) + radius
-        blocked |= inplane_sq < r * r
+        for end in (pos, top):
+            rel = end - center
+            axial = np.einsum("ij,j->i", rel, normal)
+            blocked |= np.einsum("ij,ij->i", rel, rel) - axial * axial < r * r
 
     # Greedy dart throwing with a grid hash: a conflict closer than
     # `spacing` can only sit in the same or an adjacent cell.
@@ -229,7 +235,7 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
     grid = {}
     accepted = []
     pos_list = pos.tolist()
-    for c in range(candidate_budget):
+    for c in range(SUPPORT_CANDIDATES):
         if blocked[c]:
             continue
         x, y, z = pos_list[c]
@@ -259,16 +265,7 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
         raise PlacementError(
             f"no support placement possible with {len(keepouts)} keepout(s) "
             f"and spacing {spacing}")
-    accepted_pos = [pos[c] for c in accepted]
-    accepted_face = [face_idx[c] for c in accepted]
-    accepted_bary = [bary[c] for c in accepted]
-
-    supports = []
-    cover_tris = covering.vertices[covering.faces]
-    for p, f, b in zip(accepted_pos, accepted_face, accepted_bary):
-        top = np.einsum("j,jk->k", b, cover_tris[f])
-        supports.append(_support_cylinder(p, top, radius, segments))
-    return supports
+    return [_support_cylinder(pos[c], top[c], radius, segments) for c in accepted]
 
 
 def _support_cylinder(base, top, radius, segments):

@@ -111,32 +111,12 @@ class Pose:
         t = quat_rotate(self.rotation, other.translation) + np.asarray(self.translation)
         return Pose(tuple(q), tuple(t))
 
-    def inverse(self) -> "Pose":
-        w, x, y, z = self.rotation
-        qinv = np.array([w, -x, -y, -z])
-        t = -quat_rotate(qinv, self.translation)
-        return Pose(tuple(qinv), tuple(t))
-
-    def apply(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        R = quat_to_matrix(self.rotation)
-        out = pts @ R.T + np.asarray(self.translation)
-        return out[0] if single else out
-
     def rotate(self, vectors):
         v = np.asarray(vectors, dtype=np.float64)
         single = v.ndim == 1
         v = np.atleast_2d(v)
         out = v @ quat_to_matrix(self.rotation).T
         return out[0] if single else out
-
-    def matrix(self):
-        m = np.eye(4)
-        m[:3, :3] = quat_to_matrix(self.rotation)
-        m[:3, 3] = self.translation
-        return m
 
 
 def interpolate_pose(pa: Pose, pb: Pose, u: float) -> Pose:
@@ -214,6 +194,21 @@ def mount_poses(chain: KinematicChain, q, mounts) -> list:
     return [links[m.link_index].compose(m.local) for m in mounts]
 
 
+def _bracket(times, t, what):
+    """(i, u): t lies a fraction u of the way from times[i] to times[i + 1].
+
+    times is sorted; one sample gives (0, 0.0). Raises DomainError when t
+    lies outside [times[0], times[-1]].
+    """
+    if t < times[0] or t > times[-1]:
+        raise DomainError(f"t={t} outside {what} [{times[0]}, {times[-1]}]")
+    if len(times) == 1:
+        return 0, 0.0
+    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    t0, t1 = times[i], times[i + 1]
+    return i, 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+
+
 @dataclass
 class JointTrajectory:
     times: np.ndarray
@@ -229,25 +224,11 @@ class JointTrajectory:
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
 
-    @property
-    def t_start(self):
-        return float(self.times[0])
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
-
     def value_at(self, t: float) -> np.ndarray:
-        if t < self.t_start or t > self.t_end:
-            raise DomainError(
-                f"t={t} outside trajectory domain [{self.t_start}, {self.t_end}]")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.times) - 2) if len(self.times) > 1 else 0
+        i, u = _bracket(self.times, t, "trajectory domain")
         if len(self.times) == 1:
             return self.values[0].copy()
-        t0, t1 = self.times[idx], self.times[idx + 1]
-        u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - u) * self.values[idx] + u * self.values[idx + 1]
+        return (1.0 - u) * self.values[i] + u * self.values[i + 1]
 
 
 @dataclass
@@ -260,19 +241,11 @@ class SceneObject:
     def pose_at(self, t: float) -> Pose:
         if not self.keyframes:
             return Pose.identity()
-        times = [k[0] for k in self.keyframes]
-        if t < times[0] or t > times[-1]:
-            raise DomainError(
-                f"t={t} outside keyframe domain [{times[0]}, {times[-1]}] "
-                f"for scene object {self.name!r}")
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(times) - 2) if len(times) > 1 else 0
-        if len(times) == 1:
+        i, u = _bracket([k[0] for k in self.keyframes], t,
+                        f"keyframe domain of scene object {self.name!r}")
+        if len(self.keyframes) == 1:
             return self.keyframes[0][1]
-        t0, p0 = self.keyframes[idx]
-        t1, p1 = self.keyframes[idx + 1]
-        u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return interpolate_pose(p0, p1, u)
+        return interpolate_pose(self.keyframes[i][1], self.keyframes[i + 1][1], u)
 
 
 @dataclass

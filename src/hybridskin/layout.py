@@ -74,7 +74,7 @@ class SkinAssembly:
     dermis: TriMesh
     covering: TriMesh
     rings: list       # (site_id, TriMesh)
-    mounts: list      # (site_id, TriMesh, Footprint)
+    mounts: list      # (site_id, TriMesh)
     supports: list    # TriMesh
     sites: list       # SurfaceSite
 
@@ -83,7 +83,7 @@ class SkinAssembly:
         for sid, _ in self.rings:
             if sid not in known:
                 raise ValueError(f"ring references unknown site {sid}")
-        for sid, _, _ in self.mounts:
+        for sid, _ in self.mounts:
             if sid not in known:
                 raise ValueError(f"mount references unknown site {sid}")
 
@@ -187,8 +187,8 @@ def instance_ring(site: SurfaceSite, spec: RingSpec) -> TriMesh:
     return TriMesh.from_arrays(verts, faces, Material.CONDUCTIVE)
 
 
-def instance_mount(site: SurfaceSite, spec: MountSpec):
-    """Solid cylindrical mount body (STRUCTURAL) plus its keepout footprint."""
+def instance_mount(site: SurfaceSite, spec: MountSpec) -> TriMesh:
+    """Solid cylindrical mount body on the site, STRUCTURAL."""
     n = np.asarray(site.normal)
     t1, t2 = tangent_frame(n)
     base = np.asarray(site.position)
@@ -208,9 +208,7 @@ def instance_mount(site: SurfaceSite, spec: MountSpec):
         faces.append([j, s + k, s + j])
         faces.append([bot_c, k, j])
         faces.append([top_c, s + j, s + k])
-    body = TriMesh.from_arrays(verts, faces, Material.STRUCTURAL)
-    return body, Footprint(center=site.position, normal=site.normal,
-                           radius=spec.footprint_radius)
+    return TriMesh.from_arrays(verts, faces, Material.STRUCTURAL)
 
 
 def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
@@ -220,9 +218,10 @@ def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
                  support_segments: int = 12) -> SkinAssembly:
     """Assemble the full skin: a ring + mount at every site, plus supports.
 
-    Supports avoid a keepout disk per site sized to clear both the mount
-    footprint and the ring's outer radius. Raises CouplingGapError when the
-    ring's inner radius leaves less than `coupling_gap` around the mount.
+    Both ends of every support avoid a keepout per site sized to clear both
+    the mount footprint and the ring's outer radius. Raises CouplingGapError
+    when the ring's inner radius leaves less than `coupling_gap` around the
+    mount.
     """
     gap = ring_spec.inner_radius - mount_spec.footprint_radius
     if gap < coupling_gap:
@@ -237,8 +236,7 @@ def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
     keepout_radius = max(mount_spec.footprint_radius, ring_spec.outer_radius)
     for site in sites:
         rings.append((site.site_id, instance_ring(site, ring_spec)))
-        body, footprint = instance_mount(site, mount_spec)
-        mounts.append((site.site_id, body, footprint))
+        mounts.append((site.site_id, instance_mount(site, mount_spec)))
         keepouts.append(Footprint(center=site.position, normal=site.normal,
                                   radius=keepout_radius))
 

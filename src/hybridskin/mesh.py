@@ -55,21 +55,17 @@ class TriMesh:
     def n_faces(self):
         return self.faces.shape[0]
 
-    def copy(self):
-        return TriMesh(self.vertices.copy(), self.faces.copy(), self.face_material.copy())
-
     def triangles(self):
         """Face corner positions, shape (m, 3, 3)."""
         return self.vertices[self.faces]
 
-    def face_normals(self, normalize=True):
+    def face_normals(self):
+        """Unit face normals; a degenerate face keeps its zero normal."""
         tri = self.triangles()
         n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        if normalize:
-            lens = np.linalg.norm(n, axis=1)
-            lens[lens == 0.0] = 1.0
-            n = n / lens[:, None]
-        return n
+        lens = np.linalg.norm(n, axis=1)
+        lens[lens == 0.0] = 1.0
+        return n / lens[:, None]
 
     def face_areas(self):
         tri = self.triangles()
@@ -79,7 +75,7 @@ class TriMesh:
     def vertex_normals(self):
         """Angle-weighted vertex normals (unit length where defined)."""
         tri = self.triangles()
-        fn = self.face_normals(normalize=True)
+        fn = self.face_normals()
         normals = np.zeros_like(self.vertices)
         for corner in range(3):
             a = tri[:, (corner + 1) % 3] - tri[:, corner]
@@ -100,9 +96,6 @@ class TriMesh:
         """All directed face edges, shape (3m, 2)."""
         f = self.faces
         return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
-
-    def bounds(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def transformed(self, rotation_matrix, translation):
         v = self.vertices @ np.asarray(rotation_matrix, dtype=np.float64).T
@@ -144,9 +137,6 @@ class ValidationReport:
     @property
     def is_valid(self):
         return not any(f.severity == "error" for f in self.findings)
-
-    def codes(self):
-        return {f.code for f in self.findings}
 
 
 def validate_mesh(mesh: TriMesh) -> ValidationReport:
@@ -306,15 +296,6 @@ def make_uv_sphere(radius=1.0, n_lat=16, n_lon=32, center=(0.0, 0.0, 0.0),
     for j in range(n_lon):
         faces.append([south, ring(n_lat - 1, j + 1), ring(n_lat - 1, j)])
     return TriMesh.from_arrays(verts, faces, material)
-
-
-def sphere_tessellation_for_chord_error(radius, tol):
-    """(n_lat, n_lon) so the sphere's chordal error stays below tol."""
-    # chord sagitta for angular step t is r*(1 - cos(t/2))
-    t = 2.0 * math.acos(max(0.0, 1.0 - tol / radius))
-    n_lat = max(4, int(math.ceil(math.pi / t)))
-    n_lon = max(8, int(math.ceil(2.0 * math.pi / t)))
-    return n_lat, n_lon
 
 
 def make_cylinder(radius=1.0, height=1.0, segments=32, capped=True,

@@ -1,9 +1,9 @@
 """STL and OBJ import/export.
 
-STL files are unitless; callers may declare the file's units ("m" or "mm")
-and positions are converted to meters at the boundary. Export splits a
-tagged mesh into one binary STL per material (suffixes _structural,
-_conductive, _flexible) or a single OBJ with material groups.
+STL files are unitless; callers may declare an input file's units ("m" or
+"mm") and positions are converted to meters at the boundary. Export writes
+meters and splits a tagged mesh into one binary STL per material (suffixes
+_structural, _conductive, _flexible) or a single OBJ with material groups.
 """
 
 import struct
@@ -31,7 +31,7 @@ def _weld(triangles):
     return verts, faces
 
 
-def load_stl(path, units="m", material=Material.STRUCTURAL):
+def load_stl(path, units="m"):
     data = Path(path).read_bytes()
     if data[:5] == b"solid" and b"facet" in data[:400]:
         tris = _parse_ascii_stl(data.decode("ascii", errors="replace"))
@@ -39,7 +39,7 @@ def load_stl(path, units="m", material=Material.STRUCTURAL):
         tris = _parse_binary_stl(data)
     tris = tris * _scale_for(units)
     verts, faces = _weld(tris)
-    return TriMesh.from_arrays(verts, faces, material)
+    return TriMesh.from_arrays(verts, faces)
 
 
 def _parse_binary_stl(data):
@@ -70,10 +70,9 @@ def _parse_ascii_stl(text):
     return np.array(tris, dtype=np.float64)
 
 
-def save_stl(mesh: TriMesh, path, units="m"):
+def save_stl(mesh: TriMesh, path):
     """Write a single binary STL containing every face of the mesh."""
-    scale = 1.0 / _scale_for(units)
-    tris = (mesh.triangles() * scale).astype("<f4")
+    tris = mesh.triangles().astype("<f4")
     normals = mesh.face_normals().astype("<f4")
     out = bytearray()
     header = b"hybridskin binary stl"
@@ -86,24 +85,7 @@ def save_stl(mesh: TriMesh, path, units="m"):
     Path(path).write_bytes(bytes(out))
 
 
-def save_stl_ascii(mesh: TriMesh, path, units="m", name="hybridskin"):
-    scale = 1.0 / _scale_for(units)
-    tris = mesh.triangles() * scale
-    normals = mesh.face_normals()
-    lines = [f"solid {name}"]
-    for i in range(mesh.n_faces):
-        n = normals[i]
-        lines.append(f"  facet normal {n[0]:.9e} {n[1]:.9e} {n[2]:.9e}")
-        lines.append("    outer loop")
-        for v in tris[i]:
-            lines.append(f"      vertex {v[0]:.9e} {v[1]:.9e} {v[2]:.9e}")
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append(f"endsolid {name}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def save_stl_per_material(mesh: TriMesh, base_path, units="m"):
+def save_stl_per_material(mesh: TriMesh, base_path):
     """Write one binary STL per material present; returns {Material: path}."""
     base = Path(base_path)
     written = {}
@@ -113,12 +95,12 @@ def save_stl_per_material(mesh: TriMesh, base_path, units="m"):
             continue
         sub = TriMesh(mesh.vertices.copy(), mesh.faces[sel], mesh.face_material[sel])
         path = base.with_name(base.stem + mat.suffix + ".stl")
-        save_stl(sub, path, units=units)
+        save_stl(sub, path)
         written[mat] = path
     return written
 
 
-def load_obj(path, units="m", material=Material.STRUCTURAL):
+def load_obj(path, units="m"):
     """Positions and triangle faces only; groups/normals/uvs are ignored."""
     scale = _scale_for(units)
     verts = []
@@ -137,14 +119,13 @@ def load_obj(path, units="m", material=Material.STRUCTURAL):
                 faces.append([idx[0], idx[k], idx[k + 1]])
     if not faces:
         raise ValueError(f"OBJ {path} contains no faces")
-    return TriMesh.from_arrays(np.array(verts), faces, material)
+    return TriMesh.from_arrays(np.array(verts), faces)
 
 
-def save_obj(mesh: TriMesh, path, units="m"):
+def save_obj(mesh: TriMesh, path):
     """Single OBJ with faces grouped by material (usemtl per group)."""
-    scale = 1.0 / _scale_for(units)
     lines = ["# hybridskin OBJ export"]
-    for v in mesh.vertices * scale:
+    for v in mesh.vertices:
         lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
     for mat in Material:
         sel = mesh.face_material == int(mat)
@@ -157,11 +138,11 @@ def save_obj(mesh: TriMesh, path, units="m"):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_mesh(path, units="m", material=Material.STRUCTURAL):
-    """Load by extension: .stl (binary or ASCII) or .obj."""
+def load_mesh(path, units="m"):
+    """Load by extension: .stl (binary or ASCII) or .obj, tagged STRUCTURAL."""
     suffix = Path(path).suffix.lower()
     if suffix == ".stl":
-        return load_stl(path, units=units, material=material)
+        return load_stl(path, units=units)
     if suffix == ".obj":
-        return load_obj(path, units=units, material=material)
+        return load_obj(path, units=units)
     raise ValueError(f"unsupported mesh format {suffix!r} (use .stl or .obj)")

@@ -1,8 +1,8 @@
-"""Triangle ray casting: brute force reference and BVH packet traversal.
+"""Triangle ray casting by BVH packet traversal, and point-mesh distance.
 
-Both paths evaluate one row-wise Moller-Trumbore kernel on float64 inputs:
-row k tests ray k against triangle k, so a (ray, triangle) pair computes
-the same bits whichever path or batch it comes from, and the accelerated
+The traversal evaluates one row-wise Moller-Trumbore kernel on float64
+inputs: row k tests ray k against triangle k, so a (ray, triangle) pair
+computes the same bits whichever batch it comes from, and the accelerated
 result is bit-identical to testing every triangle. Ties on distance
 resolve to the lowest triangle index. Triangles are double-sided (no
 backface culling): a depth sensor sees whatever surface crosses its ray.
@@ -81,19 +81,6 @@ class TriangleSet:
     def from_meshes(cls, meshes):
         merged = concat_meshes(meshes)
         return cls(merged.vertices, merged.faces)
-
-
-def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
-    """Nearest hit over all triangles: (distance, triangle_index) or None."""
-    if tris.n_triangles == 0:
-        return None
-    o = np.asarray(ray.origin)[None, :]
-    d = np.asarray(ray.direction)[None, :]
-    t = _intersect_rows(o, d, tris.v0, tris.e1, tris.e2)
-    idx = int(np.argmin(t))  # argmin takes the lowest index on ties
-    if not np.isfinite(t[idx]) or t[idx] > max_range:
-        return None
-    return float(t[idx]), idx
 
 
 def _ray_arrays(origins, directions):
@@ -185,15 +172,15 @@ class Bvh:
         return n_nodes
 
     def raycast(self, ray: Ray, max_range=np.inf):
-        """Nearest hit; agrees exactly with raycast_brute_force."""
+        """Nearest hit of one ray: (distance, triangle_index) or None."""
         t, idx = self.raycast_many(np.asarray(ray.origin)[None, :],
                                    np.asarray(ray.direction)[None, :], max_range)
         return None if idx[0] < 0 else (float(t[0]), int(idx[0]))
 
     def raycast_many(self, origins, directions, max_range=np.inf):
         """Nearest hit of every ray: (t, idx) arrays, idx = -1 and t = inf
-        where nothing lies within max_range. Row k agrees exactly with
-        raycast_brute_force on ray k.
+        where nothing lies within max_range. Row k is exactly the nearest
+        hit over all triangles, ties going to the lowest index.
         """
         o, d = _ray_arrays(origins, directions)
         best_t = np.full(len(o), np.inf)

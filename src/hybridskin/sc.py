@@ -34,7 +34,6 @@ REFERENCE_SNR_TABLE = {
 
 @dataclass(frozen=True)
 class ElectrodeModel:
-    site_id: int = 0
     c0: float = 10e-12        # F
     k: float = 1e-13          # F*m
     d0: float = 0.01          # m
@@ -100,12 +99,12 @@ class ScSample:
             raise ValueError("counts must be >= 0")
 
 
-def capacitance(model: ElectrodeModel, object_distance=None, conductive=True) -> float:
-    """Electrode capacitance given the nearest object distance (m, or None).
+def capacitance(model: ElectrodeModel, object_distance=None) -> float:
+    """Electrode capacitance given the nearest conductive object's distance.
 
-    Non-conductive objects (and no object at all) leave the baseline C0.
+    None (no conductive object) leaves the baseline C0.
     """
-    if object_distance is None or not conductive:
+    if object_distance is None:
         return model.c0
     if object_distance < 0.0:
         raise ValueError("object distance must be >= 0")
@@ -157,11 +156,12 @@ class InterferenceCalibration:
 
 
 def calibrate_interference(snr_with_tof: float, snr_without_tof: float,
-                           signal_delta: float, strict: bool = True) -> InterferenceCalibration:
+                           signal_delta: float) -> InterferenceCalibration:
     """Solve the ToF-injected count noise from one SNR pair.
 
     sigma_no = delta/snr_without, sigma_with = delta/snr_with, and the
     interference adds in quadrature: sigma_tof = sqrt(sigma_with^2 - sigma_no^2).
+    Equal SNRs leave no interference to solve for and raise CalibrationError.
     """
     if signal_delta <= 0.0:
         raise CalibrationError("signal delta must be > 0")
@@ -172,11 +172,7 @@ def calibrate_interference(snr_with_tof: float, snr_without_tof: float,
             f"snr_with_tof ({snr_with_tof}) exceeds snr_without_tof "
             f"({snr_without_tof}): no positive variance solution")
     if snr_with_tof == snr_without_tof:
-        if strict:
-            raise CalibrationError("equal SNRs: interference variance is zero")
-        sigma_no = signal_delta / snr_without_tof
-        return InterferenceCalibration(sigma_no, 0.0, signal_delta,
-                                       snr_with_tof, snr_without_tof)
+        raise CalibrationError("equal SNRs: interference variance is zero")
     sigma_no = signal_delta / snr_without_tof
     sigma_with = signal_delta / snr_with_tof
     sigma_tof = math.sqrt(sigma_with ** 2 - sigma_no ** 2)
@@ -203,9 +199,6 @@ class TableModel:
         if column == "covering_squeeze":
             return self.electrode_covered.compressed(self.delta_squeeze)
         raise KeyError(column)
-
-    def active_capacitance(self, column: str) -> float:
-        return capacitance(self.electrode_for(column), 0.0, conductive=True)
 
     def expected_snr(self, column: str, tof_active: bool) -> float:
         return self.target_deltas[column] / self.measurement.sigma(tof_active)
@@ -288,7 +281,7 @@ def simulate_cell_counts(model: TableModel, column: str, tof_active: bool,
     """(inactive, active) count arrays for one table cell."""
     electrode = model.electrode_for(column)
     c_idle = capacitance(electrode, None)
-    c_active = capacitance(electrode, 0.0, conductive=True)
+    c_active = capacitance(electrode, 0.0)
     inactive = measure_counts_array(c_idle, model.measurement, tof_active, rng, n_samples)
     active = measure_counts_array(c_active, model.measurement, tof_active, rng, n_samples)
     return inactive, active

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import Pose, quat_to_matrix
-from .raycast import Bvh, Ray
+from .raycast import Bvh
 
 NO_TARGET = float("nan")
 _MIN_DISTANCE = 1e-6  # reported distances stay strictly positive
@@ -76,12 +76,6 @@ def zone_direction_local(i: int, j: int, spec: ToFSpec):
     return d / np.linalg.norm(d)
 
 
-def zone_ray(sensor_pose: Pose, i: int, j: int, spec: ToFSpec) -> Ray:
-    d = sensor_pose.rotate(zone_direction_local(i, j, spec))
-    d = d / np.linalg.norm(d)
-    return Ray(origin=sensor_pose.translation, direction=tuple(d))
-
-
 @functools.lru_cache(maxsize=8)
 def _local_zone_directions(spec: ToFSpec):
     """zone_direction_local of every zone, row i*ny + j; read-only."""
@@ -94,8 +88,9 @@ def _local_zone_directions(spec: ToFSpec):
 def zone_rays(poses, spec: ToFSpec):
     """World-frame zone rays of every pose: (S*nx*ny, 3) origins, directions.
 
-    Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits that
-    zone_ray gives. Pose.rotate multiplies a 1x3 row by a transposed 3x3
+    Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits of the
+    one-ray form: Pose.rotate of zone_direction_local, divided by its
+    np.linalg.norm. Pose.rotate multiplies a 1x3 row by a transposed 3x3
     view and np.linalg.norm takes a dot product; the stacked matmuls below
     pass each row through the same kernels with the same memory layout,
     which a (n, 3) @ (3, 3) product or an einsum norm would not.

@@ -17,13 +17,13 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, SensorMount, mount_poses)
 from hybridskin.layout import MountSpec, RingSpec, compose_skin, sample_sites
 from hybridskin.logs import read_log
-from hybridskin.mesh import (make_cylinder, make_plane_patch, make_uv_sphere,
-                             sphere_tessellation_for_chord_error)
-from hybridskin.raycast import Bvh, Ray, TriangleSet, raycast_brute_force
+from hybridskin.mesh import make_cylinder, make_plane_patch, make_uv_sphere
+from hybridskin.raycast import Bvh, Ray, TriangleSet
 from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
                            fit_snr_table, measure_counts_array,
                            schedule_streams)
 from hybridskin.tof import ToFSpec, capture_frame, frame_times
+from references import raycast_brute_force, sphere_tessellation_for_chord_error
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -82,8 +82,8 @@ def test_criterion_2_calibrated_monte_carlo_reproduction():
             report = evaluate_configurations(
                 build_cell_logs(model, n_samples=1000, n_rings=3, seed=seed))
             for column, (no_tof, with_tof) in SNR_TARGETS.items():
-                got_no = report.cell(column, False).snr_mean
-                got_with = report.cell(column, True).snr_mean
+                got_no = report.cells[(column, False)].snr_mean
+                got_with = report.cells[(column, True)].snr_mean
                 assert abs(got_no - no_tof) / no_tof <= 0.15, (seed, column, got_no)
                 assert abs(got_with - with_tof) / with_tof <= 0.15, \
                     (seed, column, got_with)
@@ -220,10 +220,11 @@ def test_criterion_6_geometry_properties():
             assembly = compose_skin(dermis, covering, sites, ring_spec,
                                     mount_spec, support_spacing=0.02,
                                     support_radius=support_radius, seed=seed)
-            bases = np.array([s.vertices[-2] for s in assembly.supports])
-            for _, _, footprint in assembly.mounts:
-                rel = bases - np.asarray(footprint.center)
-                axial = rel @ np.asarray(footprint.normal)
+            # base and top centers of every support
+            ends = np.array([s.vertices[k] for s in assembly.supports for k in (-2, -1)])
+            for site in assembly.sites:
+                rel = ends - np.asarray(site.position)
+                axial = rel @ np.asarray(site.normal)
                 inplane = np.sqrt(np.einsum("ij,ij->i", rel, rel) - axial ** 2)
                 violations += int(np.sum(inplane < clearance - 1e-12))
         assert violations == 0
@@ -268,11 +269,11 @@ def test_criterion_8_monotone_tactile_response():
 
         rng = np.random.default_rng(5)
         rest = measure_counts_array(
-            model.active_capacitance("covering_rest"), model.measurement,
-            True, rng, 1000)
+            capacitance(model.electrode_for("covering_rest"), 0.0),
+            model.measurement, True, rng, 1000)
         squeeze = measure_counts_array(
-            model.active_capacitance("covering_squeeze"), model.measurement,
-            True, rng, 1000)
+            capacitance(model.electrode_for("covering_squeeze"), 0.0),
+            model.measurement, True, rng, 1000)
         se = np.sqrt(rest.var(ddof=1) / 1000 + squeeze.var(ddof=1) / 1000)
         z = (squeeze.mean() - rest.mean()) / se
         assert z > 2.3263  # one-sided 99%

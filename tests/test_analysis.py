@@ -12,10 +12,10 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, SensorMount, forward_kinematics,
                                    mount_poses)
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import (Bvh, TriangleSet, point_mesh_distance,
-                               raycast_brute_force)
+from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from hybridskin.sc import ScSample, fit_snr_table
-from hybridskin.tof import ToFSpec, capture_frame, capture_frames, zone_ray
+from hybridskin.tof import ToFSpec, capture_frame, capture_frames
+from references import raycast_brute_force, zone_ray
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -265,8 +265,8 @@ def hand_built_cells(n=1000):
 def test_hand_built_logs_reproduce_exact_table():
     report = evaluate_configurations(hand_built_cells())
     for column, (no_tof, with_tof) in SNR_TARGETS.items():
-        assert report.cell(column, False).snr_mean == pytest.approx(no_tof, rel=1e-9)
-        assert report.cell(column, True).snr_mean == pytest.approx(with_tof, rel=1e-9)
+        assert report.cells[(column, False)].snr_mean == pytest.approx(no_tof, rel=1e-9)
+        assert report.cells[(column, True)].snr_mean == pytest.approx(with_tof, rel=1e-9)
     assert report.column_order_ok
     assert report.squeeze_above_rest
     assert report.all_contact
@@ -290,7 +290,7 @@ def test_all_inactive_logs_report_no_contact():
 def test_insufficient_samples_or_rings_raise():
     cells = hand_built_cells(n=100)
     with pytest.raises(InsufficientSamplesError):
-        evaluate_configurations(cells)  # default min_samples=1000
+        evaluate_configurations(cells)  # MIN_CELL_SAMPLES = 1000
     cells = [c for c in hand_built_cells() if c.ring < 2]
     with pytest.raises(InsufficientSamplesError):
         evaluate_configurations(cells)
@@ -301,8 +301,8 @@ def test_calibrated_monte_carlo_reproduces_table_within_tolerance():
     logs = build_cell_logs(model, n_samples=1000, n_rings=3, seed=0)
     report = evaluate_configurations(logs)
     for column, (no_tof, with_tof) in SNR_TARGETS.items():
-        assert report.cell(column, False).snr_mean == pytest.approx(no_tof, rel=0.15)
-        assert report.cell(column, True).snr_mean == pytest.approx(with_tof, rel=0.15)
+        assert report.cells[(column, False)].snr_mean == pytest.approx(no_tof, rel=0.15)
+        assert report.cells[(column, True)].snr_mean == pytest.approx(with_tof, rel=0.15)
     assert report.column_order_ok
     assert report.squeeze_above_rest
     assert report.all_contact
@@ -326,7 +326,7 @@ def ramp_samples(site_id=0):
                                delta_max=0.005)
     samples = []
     for idx, delta in enumerate(np.linspace(0.0, 0.005, 50)):
-        c = capacitance(electrode.compressed(delta), 0.0, conductive=True)
+        c = capacitance(electrode.compressed(delta), 0.0)
         samples.append(ScSample(site_id, 2.0 + idx * 0.01,
                                 expected_counts(c, model_spec)))
     return samples
@@ -342,8 +342,8 @@ def test_pressure_ordering_detected_at_table_noise():
     rng = np.random.default_rng(21)
     from hybridskin.sc import capacitance, measure_counts_array
     idle_c = model.electrode_covered.c0
-    rest_c = model.active_capacitance("covering_rest")
-    squeeze_c = model.active_capacitance("covering_squeeze")
+    rest_c = capacitance(model.electrode_for("covering_rest"), 0.0)
+    squeeze_c = capacitance(model.electrode_for("covering_squeeze"), 0.0)
     samples = []
     t = 0.0
     for c, state_len in ((idle_c, 1000), (rest_c, 1000), (squeeze_c, 1000)):
@@ -355,11 +355,10 @@ def test_pressure_ordering_detected_at_table_noise():
         (1000 * 0.024, 2000 * 0.024, ACTIVE_REST),
         (2000 * 0.024, 3000 * 0.024, ACTIVE_SQUEEZE),
     ])
-    report = pressure_series(samples, labels, confidence=0.99)
+    report = pressure_series(samples, labels)
     assert report.applicable
     assert report.squeeze_above_rest
     assert report.rest_above_inactive
-    assert report.monotone
     assert report.means[ACTIVE_SQUEEZE] > report.means[ACTIVE_REST] > report.means[INACTIVE]
 
 
@@ -368,7 +367,6 @@ def test_no_contact_series_is_not_applicable():
     labels = ActivityLabel(site_id=0, intervals=[(0.0, 1.0, INACTIVE)])
     report = pressure_series(samples, labels)
     assert not report.applicable
-    assert not report.monotone
 
 
 def test_labels_validate_interval_order():

@@ -205,9 +205,9 @@ def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
     electrode = cfgmod.build_electrode(resolved)
     delta = float(np.clip(electrode.t_cov - d, 0.0, electrode.delta_max))
     expected = sc.expected_counts(
-        sc.capacitance(electrode.compressed(delta), d, conductive=True),
+        sc.capacitance(electrode.compressed(delta), d),
         cfgmod.build_measurement_spec(resolved))
-    far = sc.expected_counts(sc.capacitance(electrode, 0.9, conductive=True),
+    far = sc.expected_counts(sc.capacitance(electrode, 0.9),
                              cfgmod.build_measurement_spec(resolved))
     assert expected > far
     counts = [r["counts"] for r in read_log(out / "samples.jsonl") if r["type"] == "sc"]

@@ -7,8 +7,8 @@ from hybridskin.geometry import (Footprint, OffsetSpec, extrude_covering,
                                  generate_supports, offset_surface,
                                  self_intersections)
 from hybridskin.mesh import (Material, TriMesh, make_cylinder, make_plane_patch,
-                             make_uv_sphere, sphere_tessellation_for_chord_error,
-                             validate_mesh)
+                             make_uv_sphere, validate_mesh)
+from references import sphere_tessellation_for_chord_error
 
 
 def v_crease_patch(alpha_deg=15.0, wing=0.05, width=0.05):

@@ -6,7 +6,7 @@ import pytest
 
 from hybridskin import layout
 from hybridskin.errors import CouplingGapError, SaturationError
-from hybridskin.geometry import OffsetSpec, extrude_covering
+from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
 from hybridskin.layout import (MountSpec, RingSpec, SurfaceSite, compose_skin,
                                instance_mount, instance_ring, read_manifest,
                                sample_sites, write_manifest)
@@ -148,7 +148,7 @@ def test_instanced_bodies_are_outward_oriented():
     annulus = np.pi * (spec.outer_radius ** 2 - spec.inner_radius ** 2) * spec.height
     assert signed_volume(ring) == pytest.approx(annulus, rel=0.01)
 
-    mount, _ = instance_mount(flat_site(), MountSpec(0.007, 0.004))
+    mount = instance_mount(flat_site(), MountSpec(0.007, 0.004))
     assert signed_volume(mount) == pytest.approx(np.pi * 0.007 ** 2 * 0.004,
                                                  rel=0.01)
 
@@ -178,20 +178,14 @@ def test_ring_follows_site_normal():
 
 def test_mount_footprint_passes_through_site():
     site = flat_site(position=(0.01, 0.02, 0.0))
-    body, footprint = instance_mount(site, MountSpec(footprint_radius=0.007))
-    assert footprint.center == site.position
-    assert footprint.radius == 0.007
-    assert footprint.normal == site.normal
+    body = instance_mount(site, MountSpec(footprint_radius=0.007, height=0.004))
+    assert np.array_equal(body.vertices[-2], site.position)  # base center
+    assert np.allclose(body.vertices[-1], (0.01, 0.02, 0.004), atol=1e-15)
+    rim = body.vertices[:32] - np.asarray(site.position)
+    assert np.allclose(np.linalg.norm(rim, axis=1), 0.007, atol=1e-15)
+    assert np.allclose(rim[:, 2], 0.0, atol=1e-15)
     assert validate_mesh(body).is_valid
     assert set(body.face_material.tolist()) == {int(Material.STRUCTURAL)}
-
-
-def test_two_distant_mounts_have_disjoint_footprints():
-    _, fa = instance_mount(flat_site(position=(0.0, 0.0, 0.0)), MountSpec(0.007, 0.004))
-    _, fb = instance_mount(flat_site(position=(0.05, 0.0, 0.0), site_id=1),
-                           MountSpec(0.007, 0.004))
-    centers = np.linalg.norm(np.asarray(fa.center) - np.asarray(fb.center))
-    assert centers > fa.radius + fb.radius
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +209,35 @@ def test_three_site_assembly_invariants():
     assert len(assembly.mounts) == 3
     assert assembly.supports
     support_radius = 0.002
-    bases = np.array([s.vertices[-2] for s in assembly.supports])
-    for _, _, footprint in assembly.mounts:
-        rel = bases - np.asarray(footprint.center)
-        axial = rel @ np.asarray(footprint.normal)
+    # base and top centers of every support
+    ends = np.array([s.vertices[k] for s in assembly.supports for k in (-2, -1)])
+    for site in assembly.sites:
+        rel = ends - np.asarray(site.position)
+        axial = rel @ np.asarray(site.normal)
         inplane = np.sqrt(np.einsum("ij,ij->i", rel, rel) - axial ** 2)
         # supports clear the larger of mount footprint and ring outer radius
         assert np.all(inplane >= ring_spec.outer_radius + support_radius - 1e-12)
     # rings never overlap their mount footprint radially
     assert ring_spec.inner_radius > mount_spec.footprint_radius
+
+
+@pytest.mark.parametrize("seed", [0, 6, 14])
+def test_support_ends_clear_the_ring_keep_out_on_a_curved_link(seed):
+    # The covering is offset along vertex normals, so on a curved link a
+    # support's top leans toward or away from a nearby site axis; both of
+    # its end centers must clear ring outer radius + support radius.
+    dermis = offset_surface(make_cylinder(0.045, 0.22, 16), OffsetSpec(0.004))
+    covering = extrude_covering(dermis, OffsetSpec(0.006))
+    ring_spec = RingSpec()
+    sites = sample_sites(dermis, 12, min_dist=0.03, seed=seed)
+    assembly = compose_skin(dermis, covering, sites, ring_spec, MountSpec(), seed=seed)
+    ends = np.array([s.vertices[k] for s in assembly.supports for k in (-2, -1)])
+    for site in sites:
+        rel = ends - np.asarray(site.position)
+        axial = rel @ np.asarray(site.normal)
+        inplane = np.sqrt(np.maximum(np.einsum("ij,ij->i", rel, rel) - axial ** 2, 0.0))
+        band = np.abs(axial) <= 0.006 + ring_spec.height  # the skin at the site
+        assert np.all(inplane[band] >= ring_spec.outer_radius + 0.002 - 1e-12)
 
 
 def test_coupling_gap_violation_raises():

@@ -3,7 +3,8 @@ import pytest
 
 from hybridskin.mesh import Material, concat_meshes, make_box, validate_mesh
 from hybridskin.meshio import (load_mesh, load_obj, load_stl, save_obj,
-                               save_stl, save_stl_ascii, save_stl_per_material)
+                               save_stl, save_stl_per_material)
+from references import save_stl_ascii
 
 
 def sorted_verts(mesh):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import (Bvh, Ray, TriangleSet, point_mesh_distance,
-                                raycast_brute_force)
+from hybridskin.raycast import Bvh, Ray, TriangleSet, point_mesh_distance
+from references import raycast_brute_force
 
 
 def random_scene(rng, n_triangles=100, extent=2.0):

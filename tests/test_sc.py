@@ -24,7 +24,6 @@ def covered_electrode(**kw):
 def test_no_object_gives_baseline():
     m = covered_electrode()
     assert capacitance(m, None) == m.c0
-    assert capacitance(m, 0.5, conductive=False) == m.c0
 
 
 def test_far_object_approaches_baseline():
@@ -212,8 +211,6 @@ def test_calibration_matches_arithmetic_oracle_no_covering():
 def test_equal_snrs_raise_in_strict_mode():
     with pytest.raises(CalibrationError):
         calibrate_interference(37.0, 37.0, 370.0)
-    cal = calibrate_interference(37.0, 37.0, 370.0, strict=False)
-    assert cal.sigma_tof == 0.0
 
 
 def test_inverted_snrs_always_raise():
@@ -267,7 +264,7 @@ def test_fit_orders_deltas_like_the_physics():
     spec = model.measurement
     idle = expected_counts(model.electrode_covered.c0, spec)
     for col in ("no_covering", "covering_rest", "covering_squeeze"):
-        active = expected_counts(model.active_capacitance(col), spec)
+        active = expected_counts(capacitance(model.electrode_for(col), 0.0), spec)
         assert active - idle == pytest.approx(d[col], abs=1.0)
 
 

@@ -3,10 +3,11 @@ import pytest
 
 from hybridskin.kinematics import Pose
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import Bvh, TriangleSet, raycast_brute_force
+from hybridskin.raycast import Bvh, TriangleSet
 from hybridskin.tof import (ToFFrame, ToFSpec, capture_frame,
                             capture_frames, frame_times, zone_angles,
-                            zone_direction_local, zone_ray)
+                            zone_direction_local)
+from references import raycast_brute_force, zone_ray
 
 
 def wall_caster(z=2.0, size=20.0):
