@@ -55,36 +55,42 @@ def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
                 spec: ToFSpec) -> PointCloud:
     """World-space point per valid zone of every frame, in frame then zone order.
 
-    Frames reference the chain's mounts by sensor_id == mount site_id.
-    Each run of consecutive frames that share a timestamp poses the chain
-    once and back-projects along the zone rays that simulate casts
-    (tof.zone_rays).
+    Frames reference the chain's mounts by sensor_id == mount site_id. One
+    pass evaluates the trajectory and poses the mount of every frame; each
+    run of consecutive frames that share a timestamp then back-projects
+    along the zone rays that simulate casts (tof.zone_rays).
     Raises UnknownSensorError for unmatched frames and DomainError (from
-    the trajectory) for timestamps outside its domain.
+    the trajectory) for timestamps outside its domain, for the first fault
+    in frame order; a run's timestamp counts after its first frame's sensor
+    and before the others.
     """
     by_site = {m.site_id: m for m in chain.sensor_mounts}
-
-    def mount_of(frame):
-        mount = by_site.get(frame.sensor_id)
-        if mount is None:
-            raise UnknownSensorError(f"no mount for sensor id {frame.sensor_id}")
-        return mount
+    runs = [list(run) for _, run in itertools.groupby(frames, key=lambda f: f.timestamp)]
+    unknown = next(((k, j) for k, run in enumerate(runs) for j, f in enumerate(run)
+                    if f.sensor_id not in by_site), None)
+    # The timestamps checked before the first unknown sensor: those of the
+    # earlier runs, and its own run's unless it is the run's first frame.
+    checked = len(runs) if unknown is None else unknown[0] + (unknown[1] > 0)
+    q = trajectory.value_at(np.array([run[0].timestamp for run in runs[:checked]]))
+    if unknown is not None:
+        k, j = unknown
+        raise UnknownSensorError(f"no mount for sensor id {runs[k][j].sensor_id}")
+    if not runs:
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
+    poses = mount_poses(chain, np.repeat(q, [len(run) for run in runs], axis=0),
+                        [by_site[f.sensor_id] for run in runs for f in run])
 
     n_zones = spec.nx * spec.ny
     points, ids, times = [], [], []
-    for t, run in itertools.groupby(frames, key=lambda f: f.timestamp):
-        run = list(run)
-        first = mount_of(run[0])  # its sensor is checked before the timestamp
-        q = trajectory.value_at(t)
-        poses = mount_poses(chain, q, [first] + [mount_of(f) for f in run[1:]])
-        origins, directions = zone_rays(poses, spec)
+    start = 0
+    for run in runs:
+        origins, directions = zone_rays(poses[start:start + len(run)], spec)
+        start += len(run)
         d = np.concatenate([f.distances.reshape(-1) for f in run])
         valid = np.concatenate([f.valid.reshape(-1) for f in run])
         points.append(origins[valid] + d[valid, None] * directions[valid])
         ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
         times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
-    if not points:
-        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
     return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
 
 

@@ -157,9 +157,10 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
         sc_times = sc.schedule_streams(duration, meas, rng)
 
         sc_rng = np.random.default_rng([cfg["seed"], 1, stream_idx])
-        for t in sc_times:
-            [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
-            d = _conductive_distance(scene, float(t), pose.translation)
+        # One forward pass poses the mount at every one of its SC times.
+        positions = mount_poses(chain, trajectory.value_at(sc_times), [mount]).translation
+        for t, position in zip(sc_times, positions):
+            d = _conductive_distance(scene, float(t), position)
             if d is None:
                 c = sc.capacitance(electrode, None)
             else:

@@ -160,8 +160,8 @@ def self_intersections(mesh: TriMesh, max_pairs: int = 16):
 
 
 def _rowdot(x, y):
-    """Row-wise dot product; each row equals np.dot of that pair bit for bit."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    """Dot product over the last axis; each row equals np.dot of that pair bit for bit."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _edges_pierce(src, dst):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .geometry import _rowdot
 
 QUAT_TOL = 1e-9
 
@@ -23,41 +24,62 @@ PRISMATIC = "PRISMATIC"
 
 
 def quat_multiply(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    """Hamilton product a * b over the last axis; stacks broadcast."""
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_rotate(q, v):
-    w, x, y, z = q
-    qv = np.array([x, y, z])
-    v = np.asarray(v, dtype=np.float64)
-    t = 2.0 * np.cross(qv, v)
-    return v + w * t + np.cross(qv, t)
+    """v rotated by q: v + w t + qv x t with t = 2 qv x v, over the last axis.
+
+    The cross products are written out in np.cross's operation order, so a
+    row gets the bits the np.cross form gives it.
+    """
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+    v0, v1, v2 = np.moveaxis(np.asarray(v, dtype=np.float64), -1, 0)
+    t0 = 2.0 * (y * v2 - z * v1)
+    t1 = 2.0 * (z * v0 - x * v2)
+    t2 = 2.0 * (x * v1 - y * v0)
+    return np.stack([v0 + w * t0 + (y * t2 - z * t1),
+                     v1 + w * t1 + (z * t0 - x * t2),
+                     v2 + w * t2 + (x * t1 - y * t0)], axis=-1)
 
 
 def quat_from_axis_angle(axis, angle):
+    """Quaternion of a rotation by angle (any shape) about one axis."""
     axis = np.asarray(axis, dtype=np.float64)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
         raise ValueError("rotation axis must be nonzero")
     axis = axis / norm
-    half = 0.5 * angle
-    return np.concatenate([[math.cos(half)], math.sin(half) * axis])
+    half = 0.5 * np.asarray(angle, dtype=np.float64)
+    return np.concatenate([np.cos(half)[..., None], np.sin(half)[..., None] * axis],
+                          axis=-1)
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrices (..., 3, 3) of quaternions (..., 4)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1),
+    ], axis=-2)
+
+
+def _quat_norm(q):
+    """|q| over the last axis, with np.linalg.norm's bits for each quaternion."""
+    return np.sqrt(_rowdot(q, q))
+
+
+def _quat_normalize(q):
+    return q / _quat_norm(q)[..., None]
 
 
 def quat_slerp(qa, qb, u):
@@ -68,31 +90,48 @@ def quat_slerp(qa, qb, u):
         qb = -qb
         dot = -dot
     if dot > 1.0 - 1e-12:
-        out = qa + u * (qb - qa)
-        return out / np.linalg.norm(out)
+        return _quat_normalize(qa + u * (qb - qa))
     theta = math.acos(min(1.0, dot))
     s = math.sin(theta)
     return (math.sin((1.0 - u) * theta) / s) * qa + (math.sin(u * theta) / s) * qb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
-    """Rigid transform: rotation quaternion (w,x,y,z) then translation."""
+    """Rigid transform: rotation quaternion (w,x,y,z) then translation.
 
-    rotation: tuple = (1.0, 0.0, 0.0, 0.0)
-    translation: tuple = (0.0, 0.0, 0.0)
+    A Pose holds a stack of transforms: rotation has shape (..., 4) and
+    translation (..., 3), and the two broadcast to one batch shape. A single
+    transform is the batch shape (). Indexing and len act on the batch axes.
+    """
+
+    rotation: np.ndarray = (1.0, 0.0, 0.0, 0.0)
+    translation: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         q = np.asarray(self.rotation, dtype=np.float64)
-        if q.shape != (4,):
-            raise ValueError("rotation must be a quaternion (w,x,y,z)")
-        if abs(np.linalg.norm(q) - 1.0) > QUAT_TOL:
-            raise ValueError(f"quaternion not unit length: |q|={np.linalg.norm(q)}")
-        object.__setattr__(self, "rotation", tuple(float(c) for c in q))
         t = np.asarray(self.translation, dtype=np.float64)
-        if t.shape != (3,):
+        if q.shape[-1:] != (4,):
+            raise ValueError("rotation must be a quaternion (w,x,y,z)")
+        if t.shape[-1:] != (3,):
             raise ValueError("translation must be a 3-vector")
-        object.__setattr__(self, "translation", tuple(float(c) for c in t))
+        norm = _quat_norm(q)
+        bad = ~(np.abs(norm - 1.0) <= QUAT_TOL)  # NaN fails the test too
+        if bad.any():
+            raise ValueError(f"rotation must be a finite unit quaternion, got |q|={norm[bad][0]}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation must be finite, got {t[~np.isfinite(t)][0]}")
+        shape = np.broadcast_shapes(q.shape[:-1], t.shape[:-1])
+        object.__setattr__(self, "rotation", np.broadcast_to(q, shape + (4,)))
+        object.__setattr__(self, "translation", np.broadcast_to(t, shape + (3,)))
+
+    @classmethod
+    def _unchecked(cls, rotation, translation):
+        """A pose of already validated arrays of one batch shape."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
 
     @classmethod
     def identity(cls):
@@ -100,18 +139,29 @@ class Pose:
 
     @classmethod
     def from_axis_angle(cls, axis, angle, translation=(0.0, 0.0, 0.0)):
-        q = quat_from_axis_angle(axis, angle)
-        q = q / np.linalg.norm(q)
-        return cls(tuple(q), tuple(translation))
+        return cls(_quat_normalize(quat_from_axis_angle(axis, angle)), translation)
+
+    def __len__(self):
+        if self.rotation.ndim == 1:
+            raise TypeError("a single pose has no length")
+        return self.rotation.shape[0]
+
+    def __getitem__(self, index):
+        """The poses at index over the batch axes, as numpy would index them."""
+        key = (index if isinstance(index, tuple) else (index,)) + (slice(None),)
+        return Pose._unchecked(self.rotation[key], self.translation[key])
 
     def compose(self, other: "Pose") -> "Pose":
-        """self applied after other's frame: world = self o other."""
-        q = quat_multiply(self.rotation, other.rotation)
-        q = q / np.linalg.norm(q)
-        t = quat_rotate(self.rotation, other.translation) + np.asarray(self.translation)
-        return Pose(tuple(q), tuple(t))
+        """self applied after other's frame: world = self o other.
+
+        The result is normalized here, so it skips the unit-norm re-check.
+        """
+        q = _quat_normalize(quat_multiply(self.rotation, other.rotation))
+        t = quat_rotate(self.rotation, other.translation) + self.translation
+        return Pose._unchecked(q, t)
 
     def rotate(self, vectors):
+        """Vectors rotated by a single pose."""
         v = np.asarray(vectors, dtype=np.float64)
         single = v.ndim == 1
         v = np.atleast_2d(v)
@@ -120,11 +170,10 @@ class Pose:
 
 
 def interpolate_pose(pa: Pose, pb: Pose, u: float) -> Pose:
-    """Linear translation + slerp rotation between two poses."""
-    q = quat_slerp(pa.rotation, pb.rotation, u)
-    q = q / np.linalg.norm(q)
-    t = (1.0 - u) * np.asarray(pa.translation) + u * np.asarray(pb.translation)
-    return Pose(tuple(q), tuple(t))
+    """Linear translation + slerp rotation between two single poses."""
+    q = _quat_normalize(quat_slerp(pa.rotation, pb.rotation, u))
+    t = (1.0 - u) * pa.translation + u * pb.translation
+    return Pose(q, t)
 
 
 @dataclass(frozen=True)
@@ -135,16 +184,17 @@ class Joint:
 
     def __post_init__(self):
         a = np.asarray(self.axis, dtype=np.float64)
-        if abs(np.linalg.norm(a) - 1.0) > QUAT_TOL:
-            raise ValueError("joint axis must be unit length")
+        if not abs(np.linalg.norm(a) - 1.0) <= QUAT_TOL:  # NaN fails the test too
+            raise ValueError(f"joint axis must be finite and unit length, got {self.axis}")
         object.__setattr__(self, "axis", tuple(float(c) for c in a))
         if self.joint_type not in (REVOLUTE, PRISMATIC):
             raise ValueError(f"unknown joint type {self.joint_type!r}")
 
-    def motion(self, q: float) -> Pose:
+    def motion(self, q) -> Pose:
+        """The joint's motion for joint values q of any shape."""
         if self.joint_type == REVOLUTE:
             return Pose.from_axis_angle(self.axis, q)
-        return Pose(translation=tuple(q * np.asarray(self.axis)))
+        return Pose(translation=np.asarray(q)[..., None] * np.asarray(self.axis))
 
 
 @dataclass(frozen=True)
@@ -177,36 +227,61 @@ class KinematicChain:
 
 
 def forward_kinematics(chain: KinematicChain, q) -> list:
-    """World pose of every link (base first) for joint values q."""
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if q.shape[0] != chain.n_joints:
+    """World pose of every link (base first) for joint values q.
+
+    q has shape (..., n_joints); every link's Pose has q's batch shape, so
+    one call poses the chain at a whole batch of joint vectors.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[-1:] != (chain.n_joints,):
         raise DimensionError(
-            f"got {q.shape[0]} joint values for {chain.n_joints} joints")
-    poses = [Pose.identity()]
-    for joint, qi in zip(chain.joints, q):
-        poses.append(poses[-1].compose(joint.origin).compose(joint.motion(qi)))
+            f"got {q.shape[-1] if q.ndim else 1} joint values for {chain.n_joints} joints")
+    poses = [Pose(translation=np.zeros(q.shape[:-1] + (3,)))]
+    for i, joint in enumerate(chain.joints):
+        poses.append(poses[-1].compose(joint.origin).compose(joint.motion(q[..., i])))
     return poses
 
 
-def mount_poses(chain: KinematicChain, q, mounts) -> list:
-    """World pose of each mount for joint values q, from one forward pass."""
+def mount_poses(chain: KinematicChain, q, mounts) -> Pose:
+    """World pose of each mount for joint values q, from one forward pass.
+
+    The mounts form the last batch axis, broadcast against q's batch axes:
+    q of shape (n_joints,) gives one pose per mount, and q of shape
+    (n, n_joints) with n mounts poses mounts[k] at row k.
+    """
     links = forward_kinematics(chain, q)
-    return [links[m.link_index].compose(m.local) for m in mounts]
+    shape = np.broadcast_shapes(links[0].rotation.shape[:-1], (len(mounts),))
+    index = np.broadcast_to(np.array([m.link_index for m in mounts], dtype=np.intp),
+                            shape)[None, ..., None]
+
+    def gather(arrays):  # row [..., k] of the link that mounts[k] hangs off
+        stacked = np.stack([np.broadcast_to(a, shape + a.shape[-1:]) for a in arrays])
+        return np.take_along_axis(stacked, index, axis=0)[0]
+
+    link = Pose._unchecked(gather([p.rotation for p in links]),
+                           gather([p.translation for p in links]))
+    local = Pose(np.array([m.local.rotation for m in mounts]).reshape(-1, 4),
+                 np.array([m.local.translation for m in mounts]).reshape(-1, 3))
+    return link.compose(local)
 
 
 def _bracket(times, t, what):
-    """(i, u): t lies a fraction u of the way from times[i] to times[i + 1].
+    """(i, u) shaped like t: t lies a fraction u of the way from times[i] to times[i + 1].
 
-    times is sorted; one sample gives (0, 0.0). Raises DomainError when t
-    lies outside [times[0], times[-1]].
+    times is sorted; one sample gives i = 0 and u = 0. Raises DomainError
+    naming the first t outside [times[0], times[-1]]; NaN is outside.
     """
-    if t < times[0] or t > times[-1]:
-        raise DomainError(f"t={t} outside {what} [{times[0]}, {times[-1]}]")
+    times = np.asarray(times, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    outside = ~((t >= times[0]) & (t <= times[-1]))
+    if outside.any():
+        raise DomainError(f"t={t[outside][0]} outside {what} [{times[0]}, {times[-1]}]")
     if len(times) == 1:
-        return 0, 0.0
-    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+        return np.zeros(t.shape, dtype=np.intp), np.zeros(t.shape)
+    i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     t0, t1 = times[i], times[i + 1]
-    return i, 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    # t can only sit between equal knots at t == t0, where u is 0
+    return i, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0)
 
 
 @dataclass
@@ -221,14 +296,20 @@ class JointTrajectory:
             raise ValueError("trajectory times and values disagree in length")
         if self.times.shape[0] < 1:
             raise ValueError("trajectory needs at least one sample")
+        finite = np.isfinite(self.times) & np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"trajectory sample {k} is not finite: t={self.times[k]}, "
+                             f"q={self.values[k].tolist()}")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
 
-    def value_at(self, t: float) -> np.ndarray:
+    def value_at(self, t) -> np.ndarray:
+        """Joint values at time(s) t, shape t.shape + (n_joints,)."""
         i, u = _bracket(self.times, t, "trajectory domain")
         if len(self.times) == 1:
-            return self.values[0].copy()
-        return (1.0 - u) * self.values[i] + u * self.values[i + 1]
+            return np.broadcast_to(self.values[0], u.shape + self.values.shape[1:]).copy()
+        return (1.0 - u)[..., None] * self.values[i] + u[..., None] * self.values[i + 1]
 
 
 @dataclass
@@ -245,7 +326,8 @@ class SceneObject:
                         f"keyframe domain of scene object {self.name!r}")
         if len(self.keyframes) == 1:
             return self.keyframes[0][1]
-        return interpolate_pose(self.keyframes[i][1], self.keyframes[i + 1][1], u)
+        i = int(i)
+        return interpolate_pose(self.keyframes[i][1], self.keyframes[i + 1][1], float(u))
 
 
 @dataclass
@@ -275,7 +357,7 @@ def _pose_from_dict(d):
 
 
 def _pose_to_dict(p: Pose):
-    return {"rotation": list(p.rotation), "translation": list(p.translation)}
+    return {"rotation": p.rotation.tolist(), "translation": p.translation.tolist()}
 
 
 def load_chain(path) -> KinematicChain:

@@ -85,8 +85,8 @@ def _local_zone_directions(spec: ToFSpec):
     return local
 
 
-def zone_rays(poses, spec: ToFSpec):
-    """World-frame zone rays of every pose: (S*nx*ny, 3) origins, directions.
+def zone_rays(poses: Pose, spec: ToFSpec):
+    """World-frame zone rays of a stack of S poses: (S*nx*ny, 3) origins, directions.
 
     Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits of the
     one-ray form: Pose.rotate of zone_direction_local, divided by its
@@ -96,15 +96,17 @@ def zone_rays(poses, spec: ToFSpec):
     which a (n, 3) @ (3, 3) product or an einsum norm would not.
     """
     local = _local_zone_directions(spec)
-    rot = np.array([quat_to_matrix(p.rotation) for p in poses]).reshape(-1, 3, 3)
+    rot = quat_to_matrix(poses.rotation).reshape(-1, 3, 3)
     d = np.matmul(local[None, :, None, :], rot.transpose(0, 2, 1)[:, None])
     norm = np.sqrt(np.matmul(d, d.transpose(0, 1, 3, 2)))
-    origins = np.array([p.translation for p in poses], dtype=np.float64).reshape(-1, 3)
+    origins = poses.translation.reshape(-1, 3)
     return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
 
 
-def capture_frames(sensor_ids, poses, bvh: Bvh, t: float, spec: ToFSpec, rngs):
+def capture_frames(sensor_ids, poses: Pose, bvh: Bvh, t: float, spec: ToFSpec, rngs):
     """One frame per sensor at time t, all zone rays cast in one packet.
+
+    poses stacks one pose per sensor.
 
     1 ray per zone, Gaussian range noise, clamp to (0, max_range]. Each
     sensor's noise grid is drawn from its own rng once per frame regardless
@@ -130,7 +132,7 @@ def capture_frames(sensor_ids, poses, bvh: Bvh, t: float, spec: ToFSpec, rngs):
 def capture_frame(sensor_id: int, sensor_pose: Pose, bvh: Bvh, t: float,
                   spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
     """One sensor's frame; see capture_frames."""
-    return capture_frames([sensor_id], [sensor_pose], bvh, t, spec, [rng])[0]
+    return capture_frames([sensor_id], sensor_pose[None], bvh, t, spec, [rng])[0]
 
 
 def frame_times(duration: float, spec: ToFSpec):

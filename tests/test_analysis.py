@@ -14,8 +14,8 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from hybridskin.sc import ScSample, fit_snr_table
-from hybridskin.tof import ToFSpec, capture_frame, capture_frames
-from references import raycast_brute_force, zone_ray
+from hybridskin.tof import ToFFrame, ToFSpec, capture_frame, capture_frames
+from references import raycast_brute_force, stack_poses, zone_ray
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -192,7 +192,7 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
     for t, sids in schedule:
         poses = [forward_kinematics(chain, traj.value_at(t))[1].compose(
             chain.sensor_mounts[sid].local) for sid in sids]
-        frames += capture_frames(sids, poses, bvh, t, spec,
+        frames += capture_frames(sids, stack_poses(poses), bvh, t, spec,
                                  [np.random.default_rng(0)] * len(sids))
     cloud = reconstruct(frames, chain, traj, spec)
 
@@ -220,9 +220,28 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
 def test_unknown_sensor_inside_a_run_raises():
     spec = ToFSpec(range_noise_sigma=0.0)
     chain, traj, tris = three_sensor_orbit()
-    frames = capture_frames([0, 99, 1], [Pose.identity()] * 3, Bvh(tris), 0.5, spec,
-                            [np.random.default_rng(0)] * 3)
+    frames = capture_frames([0, 99, 1], stack_poses([Pose.identity()] * 3), Bvh(tris), 0.5,
+                            spec, [np.random.default_rng(0)] * 3)
     with pytest.raises(UnknownSensorError):
+        reconstruct(frames, chain, traj, spec)
+
+
+@pytest.mark.parametrize("schedule,error", [
+    # an earlier run out of the trajectory's domain, a later frame's sensor unknown
+    ([(0.5, [0, 1]), (9.0, [2]), (1.0, [99])], DomainError),
+    # an earlier frame's sensor unknown, a later run out of domain
+    ([(0.5, [0]), (1.0, [1, 99]), (9.0, [2])], UnknownSensorError),
+    # in one run: its first sensor, then its timestamp, then its other sensors
+    ([(0.5, [0]), (9.0, [99, 1])], UnknownSensorError),
+    ([(0.5, [0]), (9.0, [1, 99])], DomainError),
+])
+def test_reconstruct_raises_the_first_fault_in_frame_order(schedule, error):
+    spec = ToFSpec()
+    chain, traj, _ = three_sensor_orbit()
+    shape = (spec.nx, spec.ny)
+    frames = [ToFFrame(sid, t, np.ones(shape), np.ones(shape, dtype=bool))
+              for t, sids in schedule for sid in sids]
+    with pytest.raises(error):
         reconstruct(frames, chain, traj, spec)
 
 

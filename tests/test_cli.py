@@ -255,6 +255,56 @@ def test_reconstruct_binary_format(tmp_path):
     assert b"binary_little_endian" in head
 
 
+def test_simulate_and_reconstruct_pose_each_batch_in_one_forward_pass(tmp_path, monkeypatch):
+    from hybridskin import kinematics
+    calls = []
+    forward_kinematics = kinematics.forward_kinematics
+
+    def counted(chain, q):
+        calls.append(np.shape(q))
+        return forward_kinematics(chain, q)
+
+    monkeypatch.setattr(kinematics, "forward_kinematics", counted)
+    cfg = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    # at most one per nodule's SC stream and one per ToF frame time (12 Hz over 1 s)
+    assert 0 < len(calls) <= 3 + 12
+    calls.clear()
+    assert main(["reconstruct", "--config", cfg, "--log", str(sim_out / "samples.jsonl"),
+                 "--out", str(tmp_path / "rec")]) == 0
+    assert calls == [(3 * 12, 1)]
+
+
+def test_reconstruct_names_a_non_finite_trajectory_sample(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path, duration=1.0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    (tmp_path / "traj.csv").write_text("t,q1\n0.0,0.0\n0.5,nan\n1.0,0.0\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--log", str(sim_out / "samples.jsonl"),
+                 "--out", str(tmp_path / "rec")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert "trajectory sample 1" in error["message"]
+
+
+def test_reconstruct_names_a_nan_frame_timestamp(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path, duration=1.0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    records = read_log(sim_out / "samples.jsonl")
+    next(r for r in records if r["type"] == "tof")["t"] = float("nan")
+    log = tmp_path / "nan.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--log", str(log),
+                 "--out", str(tmp_path / "rec")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "DomainError"
+    assert "t=nan" in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # snr
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, PRISMATIC, Scene, SceneObject,
                                    SensorMount, forward_kinematics, load_chain,
                                    load_trajectory, mount_poses,
-                                   quat_from_axis_angle, save_chain,
-                                   save_trajectory)
+                                   quat_from_axis_angle, quat_multiply,
+                                   quat_rotate, save_chain, save_trajectory)
 from hybridskin.mesh import make_box
-from references import pose_matrix
+from references import (compose_scalar, forward_kinematics_scalar, mount_poses_scalar,
+                        pose_matrix, quat_multiply_scalar, quat_rotate_cross,
+                        value_at_scalar)
 
 
 def rot_z(angle):
@@ -163,6 +165,139 @@ def test_trajectory_rejects_out_of_domain():
 def test_trajectory_requires_monotone_times():
     with pytest.raises(ValueError):
         JointTrajectory(times=[0.0, 0.0], values=[[0.0], [1.0]])
+
+
+def test_trajectory_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="trajectory sample 1"):
+        JointTrajectory(times=[0.0, np.nan, 2.0], values=[[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="trajectory sample 2"):
+        JointTrajectory(times=[0.0, 1.0, 2.0], values=[[0.0, 0.0], [1.0, 1.0], [2.0, np.inf]])
+
+
+def test_trajectory_rejects_a_nan_time():
+    traj = JointTrajectory(times=[0.0, 1.0], values=[[0.0], [1.0]])
+    with pytest.raises(DomainError, match="t=nan"):
+        traj.value_at(np.nan)
+    with pytest.raises(DomainError, match="t=nan"):
+        traj.value_at(np.array([0.5, np.nan, 0.25]))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the Pose-by-Pose references, bit for bit
+# ---------------------------------------------------------------------------
+
+FR3_DH = [  # modified DH (a, d, alpha) of the Franka FR3
+    (0.0, 0.333, 0.0), (0.0, 0.0, -np.pi / 2), (0.0, 0.316, np.pi / 2),
+    (0.0825, 0.0, np.pi / 2), (-0.0825, 0.384, -np.pi / 2), (0.0, 0.0, np.pi / 2),
+    (0.088, 0.0, np.pi / 2)]
+
+
+def random_pose(rng):
+    q = rng.normal(size=4)
+    return Pose(q / np.linalg.norm(q), rng.uniform(-0.2, 0.2, 3))
+
+
+def random_mounts(rng, n_links, n=12):
+    return [SensorMount(int(rng.integers(0, n_links)), random_pose(rng), k)
+            for k in range(n)]
+
+
+def fr3_chain(rng):
+    # Each origin is RotX(alpha) TransX(a) TransZ(d); the joint turns about z.
+    joints = [Joint(axis=(0, 0, 1), origin=Pose.from_axis_angle(
+        (1, 0, 0), alpha, translation=(a, -np.sin(alpha) * d, np.cos(alpha) * d)))
+        for a, d, alpha in FR3_DH]
+    return KinematicChain(joints=joints, sensor_mounts=random_mounts(rng, 8))
+
+
+def mixed_chain(rng):
+    joints = []
+    for k in range(6):
+        axis = rng.normal(size=3)
+        joints.append(Joint(axis=tuple(axis / np.linalg.norm(axis)),
+                            joint_type=PRISMATIC if k % 2 else "REVOLUTE",
+                            origin=random_pose(rng)))
+    return KinematicChain(joints=joints, sensor_mounts=random_mounts(rng, 7))
+
+
+def assert_same_bits(pose, references):
+    """pose stacks the (rotation, translation) pairs of references bit for bit."""
+    assert np.array_equal(pose.rotation, np.reshape([r[0] for r in references],
+                                                    pose.rotation.shape))
+    assert np.array_equal(pose.translation, np.reshape([r[1] for r in references],
+                                                       pose.translation.shape))
+
+
+@pytest.mark.parametrize("make_chain", [fr3_chain, mixed_chain])
+def test_batched_forward_kinematics_matches_the_pose_by_pose_form(make_chain):
+    rng = np.random.default_rng(11)
+    chain = make_chain(rng)
+    q = rng.uniform(-np.pi, np.pi, size=(2000, chain.n_joints))
+    reference = [forward_kinematics_scalar(chain, row) for row in q]
+    for i, link in enumerate(forward_kinematics(chain, q)):
+        assert_same_bits(link, [links[i] for links in reference])
+
+    def mount_reference(k, mounts):
+        return [compose_scalar(reference[k][m.link_index], (m.local.rotation, m.local.translation))
+                for m in mounts]
+
+    # mounts[k] posed at row k
+    paired = [chain.sensor_mounts[k] for k in rng.integers(0, 12, size=len(q))]
+    assert_same_bits(mount_poses(chain, q, paired),
+                     [mount_reference(k, [m])[0] for k, m in enumerate(paired)])
+    # every mount at each row, from one row or from a (rows, 1, n_joints) batch
+    every = [pose for k in range(50) for pose in mount_reference(k, chain.sensor_mounts)]
+    assert_same_bits(mount_poses(chain, q[0], chain.sensor_mounts), every[:12])
+    batch = mount_poses(chain, q[:50, None, :], chain.sensor_mounts)
+    assert batch.rotation.shape == (50, 12, 4)
+    assert_same_bits(batch, every)
+    assert_same_bits(mount_poses(chain, q[7], chain.sensor_mounts[:3]),
+                     mount_poses_scalar(chain, q[7], chain.sensor_mounts[:3]))
+
+
+def test_quaternion_kernels_match_the_scalar_forms():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(2000, 4))
+    b = rng.normal(size=(2000, 4))
+    v = rng.normal(size=(2000, 3))
+    product = quat_multiply(a, b)
+    rotated = quat_rotate(a, v)
+    for k in range(len(a)):
+        assert np.array_equal(product[k], quat_multiply_scalar(a[k], b[k]))
+        assert np.array_equal(rotated[k], quat_rotate_cross(a[k], v[k]))
+
+
+def test_batched_value_at_matches_the_scalar_form_on_knots_and_ends():
+    rng = np.random.default_rng(13)
+    times = np.cumsum(rng.uniform(0.01, 0.2, size=40))
+    traj = JointTrajectory(times=times, values=rng.normal(size=(40, 7)))
+    t = np.concatenate([times, rng.uniform(times[0], times[-1], size=500)])
+    batch = traj.value_at(t)
+    assert batch.shape == (len(t), 7)
+    for k, tk in enumerate(t):
+        assert np.array_equal(batch[k], value_at_scalar(traj, tk))
+        assert np.array_equal(traj.value_at(tk), value_at_scalar(traj, tk))
+    one = JointTrajectory(times=[0.5], values=[[1.0, -2.0]])
+    assert np.array_equal(one.value_at(0.5), value_at_scalar(one, 0.5))
+    assert np.array_equal(one.value_at(np.full((3, 2), 0.5)), np.tile([1.0, -2.0], (3, 2, 1)))
+    assert one.value_at(np.zeros(0)).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input is rejected where it enters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: Pose(rotation=(np.nan, 0.0, 0.0, 0.0)),
+    lambda: Pose(translation=(np.inf, 0.0, 0.0)),
+    lambda: Pose(rotation=[[1.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]],
+                 translation=np.zeros((2, 3))),
+    lambda: Joint(axis=(np.nan, 0.0, 0.0)),
+    lambda: Joint(axis=(np.inf, 0.0, 0.0)),
+], ids=["nan_rotation", "inf_translation", "nan_in_a_stack", "nan_axis", "inf_axis"])
+def test_non_finite_kinematics_input_is_rejected(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 # ---------------------------------------------------------------------------

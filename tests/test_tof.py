@@ -7,7 +7,7 @@ from hybridskin.raycast import Bvh, TriangleSet
 from hybridskin.tof import (ToFFrame, ToFSpec, capture_frame,
                             capture_frames, frame_times, zone_angles,
                             zone_direction_local)
-from references import raycast_brute_force, zone_ray
+from references import raycast_brute_force, stack_poses, zone_ray
 
 
 def wall_caster(z=2.0, size=20.0):
@@ -131,7 +131,7 @@ def random_poses(rng, n):
     for _ in range(n):
         q = rng.normal(size=4)
         poses.append(Pose(tuple(q / np.linalg.norm(q)), tuple(rng.uniform(-1.5, 1.5, 3))))
-    return poses
+    return stack_poses(poses)
 
 
 def test_capture_frames_equals_per_sensor_capture_frame():
@@ -176,9 +176,9 @@ def test_capture_frames_rays_are_the_zone_rays():
 def test_capture_frames_needs_one_pose_and_rng_per_sensor():
     spec = ToFSpec()
     with pytest.raises(ValueError):
-        capture_frames([0, 1], [Pose.identity()], wall_caster(), 0.0, spec,
+        capture_frames([0, 1], stack_poses([Pose.identity()]), wall_caster(), 0.0, spec,
                        [np.random.default_rng(0)] * 2)
-    assert capture_frames([], [], wall_caster(), 0.0, spec, []) == []
+    assert capture_frames([], stack_poses([]), wall_caster(), 0.0, spec, []) == []
 
 
 def test_frame_times_are_strictly_periodic():
