@@ -27,6 +27,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
+# (sample, triangle) rows of one block of the SC stream's distance pass.
+_DISTANCE_ROWS = 1 << 14
+
 
 def _mesh_from_spec(spec, units="m"):
     """Mesh path (str) or primitive dict -> TriMesh."""
@@ -151,36 +154,38 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     if not mounts:
         raise ValueError("no chain mounts match the manifest sites")
 
+    # Every nodule's SC times come first, each from its own rng stream; then
+    # one forward pass poses every sample's mount (row k with its own mount),
+    # and one distance pass measures every sample.
+    streams = [sc.schedule_streams(duration, meas, np.random.default_rng([cfg["seed"], 0, k]))
+               for k in range(len(mounts))]
+    times = np.concatenate(streams)
+    owners = [mount for mount, stream in zip(mounts, streams) for _ in stream]
+    positions = mount_poses(chain, trajectory.value_at(times), owners).translation
+    capacitances = sc.contact_capacitance(electrode,
+                                          _conductive_distances(scene, times, positions))
     records = []
-    for stream_idx, mount in enumerate(mounts):
-        rng = np.random.default_rng([cfg["seed"], 0, stream_idx])
-        sc_times = sc.schedule_streams(duration, meas, rng)
+    stop = 0
+    for k, (mount, stream) in enumerate(zip(mounts, streams)):
+        start, stop = stop, stop + len(stream)
+        counts = sc.measure_counts(capacitances[start:stop], meas, tof_active,
+                                   np.random.default_rng([cfg["seed"], 1, k]))
+        records += [logs.sc_record(sc.ScSample(mount.site_id, t, n))
+                    for t, n in zip(stream.tolist(), counts.tolist())]
 
-        sc_rng = np.random.default_rng([cfg["seed"], 1, stream_idx])
-        # One forward pass poses the mount at every one of its SC times.
-        positions = mount_poses(chain, trajectory.value_at(sc_times), [mount]).translation
-        for t, position in zip(sc_times, positions):
-            d = _conductive_distance(scene, float(t), position)
-            if d is None:
-                c = sc.capacitance(electrode, None)
-            else:
-                delta = float(np.clip(electrode.t_cov - d, 0.0, electrode.delta_max))
-                c = sc.capacitance(electrode.compressed(delta), d)
-            counts = sc.measure_counts(c, meas, tof_active, sc_rng)
-            records.append(logs.sc_record(sc.ScSample(mount.site_id, float(t), counts)))
-
-    # ToF frames are strictly periodic and shared by every mount, so each
-    # frame time poses the chain and builds the scene BVH once, and casts
-    # all mounts' zone rays as one packet. The BVH is dropped with the call.
+    # ToF frames are strictly periodic and shared by every mount. One forward
+    # pass poses every mount at every frame time; each frame time builds the
+    # scene BVH once and casts all mounts' zone rays as one packet. The BVH
+    # is dropped with the call.
     tof_rngs = [np.random.default_rng([cfg["seed"], 2, stream_idx])
                 for stream_idx in range(len(mounts))]
     sensor_ids = [m.site_id for m in mounts]
-    for t in tof.frame_times(duration, tof_spec):
-        t = float(t)
-        poses = mount_poses(chain, trajectory.value_at(t), mounts)
+    frame_times = tof.frame_times(duration, tof_spec)
+    frame_poses = mount_poses(chain, trajectory.value_at(frame_times)[:, None, :], mounts)
+    for j, t in enumerate(frame_times.tolist()):
         frames = tof.capture_frames(
-            sensor_ids, poses, Bvh(TriangleSet.from_meshes([m for m, _ in scene.at(t)])),
-            t, tof_spec, tof_rngs)
+            sensor_ids, frame_poses[j],
+            Bvh(TriangleSet.from_meshes([m for m, _ in scene.at(t)])), t, tof_spec, tof_rngs)
         records.extend(logs.tof_record(f) for f in frames)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,12 +198,25 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _conductive_distance(scene: Scene, t: float, point):
-    """Distance from a point to the nearest conductive scene surface (None if none)."""
-    meshes = [mesh for mesh, conductive in scene.at(t) if conductive]
-    if not meshes:
-        return None
-    return point_mesh_distance(point, TriangleSet.from_meshes(meshes))
+def _conductive_distances(scene: Scene, times, points):
+    """Distance from points[k] to the nearest conductive surface at times[k].
+
+    inf where the scene has no conductive triangle. Samples go in blocks of
+    at most _DISTANCE_ROWS (sample, triangle) rows per object, which bounds
+    the posed copies of moving meshes and the distance kernel's temporaries.
+    """
+    conductive = [obj for obj in scene.objects if obj.conductive]
+    static = [None if obj.keyframes else TriangleSet(obj.mesh.vertices, obj.mesh.faces)
+              for obj in conductive]
+    step = max(1, _DISTANCE_ROWS // max([1] + [obj.mesh.n_faces for obj in conductive]))
+    d = np.full(len(times), np.inf)
+    for start in range(0, len(times), step):
+        block = slice(start, start + step)
+        for obj, tris in zip(conductive, static):
+            if tris is None:
+                tris = TriangleSet(obj.vertices_at(times[block]), obj.mesh.faces)
+            d[block] = np.minimum(d[block], point_mesh_distance(points[block], tris))
+    return d
 
 
 # ---------------------------------------------------------------------------

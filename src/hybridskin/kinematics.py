@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .geometry import _rowdot
+from .mesh import TriMesh
 
 QUAT_TOL = 1e-9
 
@@ -82,18 +83,40 @@ def _quat_normalize(q):
     return q / _quat_norm(q)[..., None]
 
 
+def _per_element(fn):
+    """fn applied to each element of a float array through math: numpy's
+    vectorized arccos and sin differ from math's in the last bit on some rows."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: ufunc(x).astype(np.float64)
+
+
+_acos, _sin = _per_element(math.acos), _per_element(math.sin)
+
+
 def quat_slerp(qa, qb, u):
-    qa = np.asarray(qa, dtype=np.float64)
-    qb = np.asarray(qb, dtype=np.float64)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:  # take the short arc
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        return _quat_normalize(qa + u * (qb - qa))
-    theta = math.acos(min(1.0, dot))
-    s = math.sin(theta)
-    return (math.sin((1.0 - u) * theta) / s) * qa + (math.sin(u * theta) / s) * qb
+    """Slerp from qa to qb by fraction u over the short arc; stacks broadcast.
+
+    qa and qb have shape (..., 4) and u the batch shape; a single slerp is
+    the batch shape (). Each row gets the bits of the one-quaternion form.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    shape = np.broadcast_shapes(np.shape(qa)[:-1], np.shape(qb)[:-1], u.shape)
+    qa, qb = (np.broadcast_to(np.asarray(q, dtype=np.float64), shape + (4,)) for q in (qa, qb))
+    u = np.broadcast_to(u, shape)
+    dot = _rowdot(qa, qb)
+    flip = dot < 0.0  # take the short arc
+    qb = np.where(flip[..., None], -qb, qb)
+    dot = np.where(flip, -dot, dot)
+    out = np.empty(shape + (4,))
+    near = dot > 1.0 - 1e-12
+    a, b, un = qa[near], qb[near], u[near]
+    out[near] = _quat_normalize(a + un[:, None] * (b - a))
+    far = ~near
+    a, b, uf = qa[far], qb[far], u[far]
+    theta = _acos(np.minimum(1.0, dot[far]))
+    s = _sin(theta)
+    out[far] = (_sin((1.0 - uf) * theta) / s)[:, None] * a + (_sin(uf * theta) / s)[:, None] * b
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +192,15 @@ class Pose:
         return out[0] if single else out
 
 
-def interpolate_pose(pa: Pose, pb: Pose, u: float) -> Pose:
-    """Linear translation + slerp rotation between two single poses."""
+def interpolate_pose(pa: Pose, pb: Pose, u) -> Pose:
+    """Linear translation + slerp rotation from pa to pb by fraction u.
+
+    pa, pb and u broadcast to one batch shape; single poses and a float u
+    are the batch shape ().
+    """
+    u = np.asarray(u, dtype=np.float64)
     q = _quat_normalize(quat_slerp(pa.rotation, pb.rotation, u))
-    t = (1.0 - u) * pa.translation + u * pb.translation
+    t = (1.0 - u)[..., None] * pa.translation + u[..., None] * pb.translation
     return Pose(q, t)
 
 
@@ -314,20 +342,31 @@ class JointTrajectory:
 
 @dataclass
 class SceneObject:
-    mesh: "TriMesh"
+    mesh: TriMesh
     conductive: bool = False
     keyframes: list = None  # [(t, Pose), ...] sorted; None = static
     name: str = ""
 
-    def pose_at(self, t: float) -> Pose:
+    def pose_at(self, t) -> Pose:
+        """Pose at time(s) t, with t's batch shape; identity if static."""
         if not self.keyframes:
             return Pose.identity()
         i, u = _bracket([k[0] for k in self.keyframes], t,
                         f"keyframe domain of scene object {self.name!r}")
+        rotation = np.array([p.rotation for _, p in self.keyframes])
+        translation = np.array([p.translation for _, p in self.keyframes])
         if len(self.keyframes) == 1:
-            return self.keyframes[0][1]
-        i = int(i)
-        return interpolate_pose(self.keyframes[i][1], self.keyframes[i + 1][1], float(u))
+            return Pose._unchecked(rotation[i], translation[i])
+        return interpolate_pose(Pose._unchecked(rotation[i], translation[i]),
+                                Pose._unchecked(rotation[i + 1], translation[i + 1]), u)
+
+    def vertices_at(self, t):
+        """Mesh vertices posed at time(s) t, shape t.shape + (n, 3); static ones unposed."""
+        if not self.keyframes:
+            return self.mesh.vertices
+        pose = self.pose_at(t)
+        R = quat_to_matrix(pose.rotation)
+        return self.mesh.vertices @ np.swapaxes(R, -1, -2) + pose.translation[..., None, :]
 
 
 @dataclass
@@ -336,15 +375,9 @@ class Scene:
 
     def at(self, t: float):
         """Posed copies of every object at time t: [(TriMesh, conductive)]."""
-        posed = []
-        for obj in self.objects:
-            pose = obj.pose_at(t)
-            if obj.keyframes:
-                R = quat_to_matrix(pose.rotation)
-                posed.append((obj.mesh.transformed(R, pose.translation), obj.conductive))
-            else:
-                posed.append((obj.mesh, obj.conductive))
-        return posed
+        return [(TriMesh(obj.vertices_at(t), obj.mesh.faces, obj.mesh.face_material)
+                 if obj.keyframes else obj.mesh, obj.conductive)
+                for obj in self.objects]
 
 
 # ---------------------------------------------------------------------------

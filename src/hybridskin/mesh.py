@@ -97,11 +97,6 @@ class TriMesh:
         f = self.faces
         return np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
 
-    def transformed(self, rotation_matrix, translation):
-        v = self.vertices @ np.asarray(rotation_matrix, dtype=np.float64).T
-        v = v + np.asarray(translation, dtype=np.float64)
-        return TriMesh(v, self.faces.copy(), self.face_material.copy())
-
 
 def concat_meshes(meshes):
     """Concatenate meshes into one body, preserving per-face materials."""

@@ -66,15 +66,19 @@ def _intersect_rows(origin, direction, v0, e1, e2):
 
 
 class TriangleSet:
-    """Triangle soup prepared for intersection queries."""
+    """Triangle soup prepared for intersection queries.
+
+    vertices of shape (..., n, 3) with leading batch axes stack posed copies
+    of one mesh; v0, e1 and e2 then have shape (..., n_triangles, 3).
+    """
 
     def __init__(self, vertices, faces):
         vertices = np.asarray(vertices, dtype=np.float64)
         faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        tri = vertices[faces]
-        self.v0 = np.ascontiguousarray(tri[:, 0]) if len(faces) else np.zeros((0, 3))
-        self.e1 = np.ascontiguousarray(tri[:, 1] - tri[:, 0]) if len(faces) else np.zeros((0, 3))
-        self.e2 = np.ascontiguousarray(tri[:, 2] - tri[:, 0]) if len(faces) else np.zeros((0, 3))
+        tri = vertices[..., faces, :]
+        self.v0 = np.ascontiguousarray(tri[..., 0, :])
+        self.e1 = np.ascontiguousarray(tri[..., 1, :] - tri[..., 0, :])
+        self.e2 = np.ascontiguousarray(tri[..., 2, :] - tri[..., 0, :])
         self.n_triangles = faces.shape[0]
 
     @classmethod
@@ -240,23 +244,37 @@ class Bvh:
         best_idx[rows[better]] = tri[better]
 
 
-def point_mesh_distance(point, tris: TriangleSet):
-    """Smallest Euclidean distance from a point to any triangle in the set."""
-    if tris.n_triangles == 0:
-        return np.inf
-    p = np.asarray(point, dtype=np.float64)
-    return float(np.sqrt(_point_tri_sqdist(p, tris.v0, tris.e1, tris.e2).min()))
+def point_mesh_distance(points, tris: TriangleSet):
+    """Smallest Euclidean distance from each point to any triangle in the set.
+
+    points has shape (n, 3), or (3,) for a single point, which returns a
+    float. A set with a leading batch axis of n posed copies pairs copy k
+    with point k; an unbatched set serves every point. inf where the set
+    has no triangles.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    single = p.ndim == 1
+    p = p.reshape(-1, 3)
+    n = tris.n_triangles
+    if n == 0:
+        d = np.full(len(p), np.inf)
+    else:  # (point, triangle) rows, point-major
+        v0, e1, e2 = (np.broadcast_to(a, (len(p), n, 3)).reshape(-1, 3)
+                      for a in (tris.v0, tris.e1, tris.e2))
+        sq = _point_tri_sqdist(np.repeat(p, n, axis=0), v0, e1, e2)
+        d = np.sqrt(sq.reshape(len(p), n).min(axis=1))
+    return float(d[0]) if single else d
 
 
 def _point_tri_sqdist(p, v0, e1, e2):
-    """Exact squared point-triangle distances, vectorized over triangles.
+    """Exact squared distance from point row k to triangle row k.
 
     The constrained minimizer lies either strictly inside the triangle
     (where the unconstrained barycentric solution is feasible) or on one of
     the three edges; evaluating all four candidates and taking the minimum
     is therefore exact.
     """
-    ap = p[None, :] - v0
+    ap = p - v0
     d1 = np.einsum("ij,ij->i", e1, ap)
     d2 = np.einsum("ij,ij->i", e2, ap)
     a = np.einsum("ij,ij->i", e1, e1)
@@ -264,7 +282,7 @@ def _point_tri_sqdist(p, v0, e1, e2):
     c = np.einsum("ij,ij->i", e2, e2)
 
     def sq(s, t):
-        diff = v0 + s[:, None] * e1 + t[:, None] * e2 - p[None, :]
+        diff = v0 + s[:, None] * e1 + t[:, None] * e2 - p
         return np.einsum("ij,ij->i", diff, diff)
 
     safe = lambda x: np.where(np.abs(x) < 1e-300, 1e-300, x)

@@ -108,21 +108,52 @@ def capacitance(model: ElectrodeModel, object_distance=None) -> float:
         return model.c0
     if object_distance < 0.0:
         raise ValueError("object distance must be >= 0")
-    d_eff = max(object_distance, model.t_cov - model.delta)
+    return _inverse_distance(model, max(object_distance, model.t_cov - model.delta))
+
+
+def contact_capacitance(model: ElectrodeModel, object_distance):
+    """Capacitance with the nearest conductive object at each of an array of distances.
+
+    An object nearer than the covering's thickness compresses it, by at
+    most delta_max; inf (no conductive object) leaves the baseline C0.
+    Element k is capacitance(model.compressed(delta_k), d_k) bit for bit.
+    """
+    d = np.asarray(object_distance, dtype=np.float64)
+    if not (d >= 0.0).all():
+        raise ValueError("object distance must be >= 0")
+    delta = np.clip(model.t_cov - d, 0.0, model.delta_max)
+    return _inverse_distance(model, np.maximum(d, model.t_cov - delta))
+
+
+def _inverse_distance(model: ElectrodeModel, d_eff):
     return model.c0 + model.k / (d_eff + model.d0)
 
 
-def expected_counts(c: float, spec: MeasurementSpec) -> int:
-    """Noise-free RC charge count for capacitance c."""
-    if c <= 0.0:
+def expected_counts(c, spec: MeasurementSpec):
+    """Noise-free RC charge count for capacitance c: an int, or an int64
+    array for an array of capacitances."""
+    c = np.asarray(c, dtype=np.float64)
+    if not (c > 0.0).all():
         raise ValueError("capacitance must be > 0")
-    return int(round(c * spec.counts_per_farad))
+    n = np.rint(c * spec.counts_per_farad).astype(np.int64)
+    return int(n) if n.ndim == 0 else n
 
 
-def measure_counts(c: float, spec: MeasurementSpec, tof_active: bool,
-                   rng: np.random.Generator) -> int:
-    """One count measurement: ideal count + Gaussian noise, clamped at 0."""
-    return int(measure_counts_array(c, spec, tof_active, rng, 1)[0])
+def measure_counts(c, spec: MeasurementSpec, tof_active: bool,
+                   rng: np.random.Generator):
+    """Count measurements for capacitance(s) c: ideal count + Gaussian
+    noise, rounded and clamped at 0; an int for a scalar c, else an int64
+    array of c's shape.
+
+    The noise is one normal draw of c's shape, which consumes the rng as
+    that many scalar draws in order do; sigma = 0 draws nothing.
+    """
+    counts = np.asarray(expected_counts(c, spec), dtype=np.float64)
+    sigma = spec.sigma(tof_active)
+    if sigma != 0.0:
+        counts = np.rint(counts + rng.normal(0.0, sigma, size=counts.shape))
+    counts = np.maximum(counts, 0).astype(np.int64)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def schedule_streams(duration: float, sc_spec: MeasurementSpec,
@@ -265,23 +296,12 @@ def fit_snr_table(table=None, calibration_column: str = "no_covering",
                       delta_squeeze=delta_squeeze, target_deltas=target)
 
 
-def measure_counts_array(c: float, spec: MeasurementSpec, tof_active: bool,
-                         rng: np.random.Generator, n: int) -> np.ndarray:
-    """n count measurements: ideal count + Gaussian noise, rounded, clamped at 0."""
-    base = expected_counts(c, spec)
-    sigma = spec.sigma(tof_active)
-    if sigma == 0.0:
-        return np.full(n, max(base, 0), dtype=np.int64)
-    noisy = np.rint(base + rng.normal(0.0, sigma, size=n))
-    return np.maximum(noisy, 0).astype(np.int64)
-
-
 def simulate_cell_counts(model: TableModel, column: str, tof_active: bool,
                          n_samples: int, rng: np.random.Generator):
     """(inactive, active) count arrays for one table cell."""
     electrode = model.electrode_for(column)
     c_idle = capacitance(electrode, None)
     c_active = capacitance(electrode, 0.0)
-    inactive = measure_counts_array(c_idle, model.measurement, tof_active, rng, n_samples)
-    active = measure_counts_array(c_active, model.measurement, tof_active, rng, n_samples)
+    inactive = measure_counts(np.full(n_samples, c_idle), model.measurement, tof_active, rng)
+    active = measure_counts(np.full(n_samples, c_active), model.measurement, tof_active, rng)
     return inactive, active

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from hybridskin.errors import DimensionError, DomainError
-from hybridskin.kinematics import REVOLUTE, Pose, quat_to_matrix
-from hybridskin.raycast import Ray, TriangleSet, _intersect_rows
+from hybridskin.kinematics import REVOLUTE, Pose, _quat_normalize, quat_to_matrix
+from hybridskin.mesh import TriMesh
+from hybridskin.raycast import Ray, TriangleSet, _intersect_rows, point_mesh_distance
+from hybridskin.sc import expected_counts
 from hybridskin.tof import ToFSpec, zone_direction_local
 
 
@@ -153,3 +155,71 @@ def value_at_scalar(traj, t):
     i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
     u = (t - times[i]) / (times[i + 1] - times[i])
     return (1.0 - u) * traj.values[i] + u * traj.values[i + 1]
+
+
+def quat_slerp_scalar(qa, qb, u):
+    """Slerp of two single quaternions by a float u, through math."""
+    qa = np.asarray(qa, dtype=np.float64)
+    qb = np.asarray(qb, dtype=np.float64)
+    dot = float(np.dot(qa, qb))
+    if dot < 0.0:  # take the short arc
+        qb = -qb
+        dot = -dot
+    if dot > 1.0 - 1e-12:
+        return _quat_normalize(qa + u * (qb - qa))
+    theta = math.acos(min(1.0, dot))
+    s = math.sin(theta)
+    return (math.sin((1.0 - u) * theta) / s) * qa + (math.sin(u * theta) / s) * qb
+
+
+def interpolate_pose_scalar(pa: Pose, pb: Pose, u: float) -> Pose:
+    """Linear translation + slerp rotation between two single poses."""
+    q = _quat_normalize(quat_slerp_scalar(pa.rotation, pb.rotation, u))
+    t = (1.0 - u) * pa.translation + u * pb.translation
+    return Pose(q, t)
+
+
+def pose_at_scalar(obj, t: float) -> Pose:
+    """A scene object's pose at one time t, keyframe pair by keyframe pair."""
+    if not obj.keyframes:
+        return Pose.identity()
+    times = [k[0] for k in obj.keyframes]
+    if not times[0] <= t <= times[-1]:
+        raise DomainError(f"t={t} outside keyframe domain of scene object {obj.name!r}")
+    if len(times) == 1:
+        return obj.keyframes[0][1]
+    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    t0, t1 = times[i], times[i + 1]
+    u = (t - t0) / (t1 - t0) if t1 > t0 else t - t0  # equal knots: t == t0, u = 0
+    return interpolate_pose_scalar(obj.keyframes[i][1], obj.keyframes[i + 1][1], u)
+
+
+# ---------------------------------------------------------------------------
+# Sample-by-sample SC stream: the bit references of simulate's batched pass
+# ---------------------------------------------------------------------------
+
+def conductive_distance_scalar(scene, t: float, point):
+    """Distance from one point to the nearest conductive surface at time t
+    (None if there is none), from one merged set of the posed meshes."""
+    meshes = []
+    for obj in scene.objects:
+        if not obj.conductive:
+            continue
+        if obj.keyframes:
+            pose = pose_at_scalar(obj, t)
+            vertices = obj.mesh.vertices @ quat_to_matrix(pose.rotation).T + pose.translation
+            meshes.append(TriMesh(vertices, obj.mesh.faces, obj.mesh.face_material))
+        else:
+            meshes.append(obj.mesh)
+    if not meshes:
+        return None
+    return point_mesh_distance(point, TriangleSet.from_meshes(meshes))
+
+
+def measure_counts_scalar(c: float, spec, tof_active: bool, rng) -> int:
+    """One count measurement from a size-1 normal draw."""
+    base = expected_counts(c, spec)
+    sigma = spec.sigma(tof_active)
+    if sigma == 0.0:
+        return max(base, 0)
+    return max(int(np.rint(base + rng.normal(0.0, sigma, size=1))[0]), 0)

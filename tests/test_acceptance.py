@@ -20,7 +20,7 @@ from hybridskin.logs import read_log
 from hybridskin.mesh import make_cylinder, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, Ray, TriangleSet
 from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
-                           fit_snr_table, measure_counts_array,
+                           fit_snr_table, measure_counts,
                            schedule_streams)
 from hybridskin.tof import ToFSpec, capture_frame, frame_times
 from references import raycast_brute_force, sphere_tessellation_for_chord_error
@@ -268,12 +268,12 @@ def test_criterion_8_monotone_tactile_response():
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
         rng = np.random.default_rng(5)
-        rest = measure_counts_array(
-            capacitance(model.electrode_for("covering_rest"), 0.0),
-            model.measurement, True, rng, 1000)
-        squeeze = measure_counts_array(
-            capacitance(model.electrode_for("covering_squeeze"), 0.0),
-            model.measurement, True, rng, 1000)
+        rest = measure_counts(
+            np.full(1000, capacitance(model.electrode_for("covering_rest"), 0.0)),
+            model.measurement, True, rng)
+        squeeze = measure_counts(
+            np.full(1000, capacitance(model.electrode_for("covering_squeeze"), 0.0)),
+            model.measurement, True, rng)
         se = np.sqrt(rest.var(ddof=1) / 1000 + squeeze.var(ddof=1) / 1000)
         z = (squeeze.mean() - rest.mean()) / se
         assert z > 2.3263  # one-sided 99%

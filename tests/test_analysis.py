@@ -359,14 +359,14 @@ def test_squeeze_ramp_counts_strictly_increase():
 def test_pressure_ordering_detected_at_table_noise():
     model = fit_snr_table(SNR_TARGETS, signal_delta=600.0)
     rng = np.random.default_rng(21)
-    from hybridskin.sc import capacitance, measure_counts_array
+    from hybridskin.sc import capacitance, measure_counts
     idle_c = model.electrode_covered.c0
     rest_c = capacitance(model.electrode_for("covering_rest"), 0.0)
     squeeze_c = capacitance(model.electrode_for("covering_squeeze"), 0.0)
     samples = []
     t = 0.0
     for c, state_len in ((idle_c, 1000), (rest_c, 1000), (squeeze_c, 1000)):
-        for n in measure_counts_array(c, model.measurement, True, rng, state_len):
+        for n in measure_counts(np.full(state_len, c), model.measurement, True, rng):
             samples.append(ScSample(0, t, int(n)))
             t += 0.024
     labels = ActivityLabel(site_id=0, intervals=[

@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hybridskin import cli
 from hybridskin.cli import main
+from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.logs import read_log
+from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
+from references import conductive_distance_scalar
 
 
 def write_json(path, payload):
@@ -215,6 +219,103 @@ def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
     assert counts == [expected] * len(counts)
 
 
+def sc_scene(conductive=True):
+    """Two moving objects (one turning, one sliding), a static plate and a
+    non-conductive wall; all but the wall conductive when asked."""
+    rng = np.random.default_rng(21)
+
+    def turned():
+        q = rng.normal(size=4)
+        return Pose(q / np.linalg.norm(q), rng.uniform(-0.3, 0.3, 3))
+
+    box = SceneObject(mesh=make_box((0.1, 0.2, 0.15)), conductive=conductive, name="box",
+                      keyframes=[(t, turned()) for t in (0.0, 0.4, 0.4, 1.1, 2.0)])
+    ball = SceneObject(mesh=make_uv_sphere(0.05, 6, 10), conductive=conductive, name="ball",
+                       keyframes=[(0.0, Pose(translation=(0.0, 0.0, 0.5))),
+                                  (2.0, Pose(translation=(0.2, 0.0, 0.05)))])
+    plate = SceneObject(mesh=make_plane_patch(0.3, 0.3, 2, 2, center=(0.0, 0.0, -0.2)),
+                        conductive=conductive, name="plate")
+    wall = SceneObject(mesh=make_plane_patch(1.0, 1.0, 1, 1, center=(0.0, 0.0, 0.1)),
+                       name="wall")
+    return Scene(objects=[box, wall, ball, plate])
+
+
+def test_conductive_distances_match_the_per_sample_form():
+    rng = np.random.default_rng(22)
+    scene = sc_scene()
+    times = np.concatenate([[0.0, 0.4, 2.0], rng.uniform(0.0, 2.0, size=5000)])
+    points = rng.uniform(-0.4, 0.4, size=(len(times), 3))
+    got = cli._conductive_distances(scene, times, points)
+    expected = [conductive_distance_scalar(scene, t, p) for t, p in zip(times, points)]
+    assert np.array_equal(got, expected)
+
+
+def test_conductive_distances_in_many_blocks_equal_one_block(monkeypatch):
+    rng = np.random.default_rng(23)
+    scene = sc_scene()
+    times = rng.uniform(0.0, 2.0, size=700)
+    points = rng.uniform(-0.4, 0.4, size=(len(times), 3))
+    one_block = cli._conductive_distances(scene, times, points)
+    monkeypatch.setattr(cli, "_DISTANCE_ROWS", 1000)  # 1000 // 100 ball faces: 10 samples a block
+    assert np.array_equal(cli._conductive_distances(scene, times, points), one_block)
+    monkeypatch.setattr(cli, "_DISTANCE_ROWS", 1)
+    assert np.array_equal(cli._conductive_distances(scene, times[:50], points[:50]),
+                          one_block[:50])
+
+
+def test_sc_pass_without_conductive_objects_or_samples_reads_c0():
+    from hybridskin import sc
+    electrode = sc.ElectrodeModel(t_cov=0.006, delta_max=0.004)
+    times = np.linspace(0.0, 2.0, 40)
+    d = cli._conductive_distances(sc_scene(conductive=False), times, np.zeros((40, 3)))
+    assert np.array_equal(d, np.full(40, np.inf))
+    assert np.array_equal(sc.contact_capacitance(electrode, d), np.full(40, electrode.c0))
+    # a zero-length stream: no block, no draw and no warning
+    for scene in (sc_scene(), Scene()):
+        d = cli._conductive_distances(scene, np.zeros(0), np.zeros((0, 3)))
+        assert d.shape == (0,)
+        c = sc.contact_capacitance(electrode, d)
+        assert sc.measure_counts(c, sc.MeasurementSpec(), True,
+                                 np.random.default_rng(0)).shape == (0,)
+
+
+def test_simulate_poses_and_measures_the_sc_stream_in_whole_array_passes(tmp_path, monkeypatch):
+    from hybridskin import kinematics, raycast, sc
+    cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
+    hand = {"name": "hand", "conductive": True,
+            "primitive": {"kind": "box", "size": [0.1, 0.1, 0.1]},
+            "keyframes": [{"t": 0.0, "translation": [0.0, 0.0, 0.6]},
+                          {"t": 1.0, "translation": [0.0, 0.0, 0.2]}]}
+    scene = json.loads((tmp_path / "scene.json").read_text())
+    scene["objects"][0]["conductive"] = True
+    scene["objects"].append(hand)
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["simulation"]["scene"] = write_json(tmp_path / "hand.json", scene)
+    calls = {"scene_at": 0, "triangle_sets": 0, "distance": 0, "measure": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(kinematics.Scene, "at", counted("scene_at", kinematics.Scene.at))
+    monkeypatch.setattr(raycast.TriangleSet, "__init__",
+                        counted("triangle_sets", raycast.TriangleSet.__init__))
+    monkeypatch.setattr(cli, "point_mesh_distance",
+                        counted("distance", raycast.point_mesh_distance))
+    monkeypatch.setattr(sc, "measure_counts", counted("measure", sc.measure_counts))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    records = read_log(out / "samples.jsonl")
+    assert sum(r["type"] == "sc" for r in records) >= 3 * 40
+    frame_times, conductive = 12, 2
+    assert calls["scene_at"] <= frame_times
+    assert calls["triangle_sets"] <= frame_times + conductive
+    assert calls["distance"] == conductive  # one block
+    assert calls["measure"] == 3  # one per nodule
+
+
 def test_simulate_missing_input_exits_3(tmp_path, capsys):
     cfg = wall_fixture(tmp_path)
     data = json.loads((tmp_path / "config.json").read_text())
@@ -268,8 +369,8 @@ def test_simulate_and_reconstruct_pose_each_batch_in_one_forward_pass(tmp_path, 
     cfg = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
-    # at most one per nodule's SC stream and one per ToF frame time (12 Hz over 1 s)
-    assert 0 < len(calls) <= 3 + 12
+    # one for the whole SC stream (one joint) and one for the 12 ToF frame times
+    assert len(calls) == 2 and calls[0][1:] == (1,) and calls[1] == (12, 1, 1)
     calls.clear()
     assert main(["reconstruct", "--config", cfg, "--log", str(sim_out / "samples.jsonl"),
                  "--out", str(tmp_path / "rec")]) == 0

@@ -10,8 +10,8 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    quat_rotate, save_chain, save_trajectory)
 from hybridskin.mesh import make_box
 from references import (compose_scalar, forward_kinematics_scalar, mount_poses_scalar,
-                        pose_matrix, quat_multiply_scalar, quat_rotate_cross,
-                        value_at_scalar)
+                        pose_at_scalar, pose_matrix, quat_multiply_scalar,
+                        quat_rotate_cross, value_at_scalar)
 
 
 def rot_z(angle):
@@ -281,6 +281,46 @@ def test_batched_value_at_matches_the_scalar_form_on_knots_and_ends():
     assert np.array_equal(one.value_at(0.5), value_at_scalar(one, 0.5))
     assert np.array_equal(one.value_at(np.full((3, 2), 0.5)), np.tile([1.0, -2.0], (3, 2, 1)))
     assert one.value_at(np.zeros(0)).shape == (0, 2)
+
+
+def random_keyframes(rng, n):
+    """n keyframes over random rotations, with near-equal and opposite-sign
+    neighbours (both slerp branches, both arcs) and repeated knot times."""
+    times = np.cumsum(rng.uniform(0.05, 0.5, size=n))
+    times[5::7] = times[4::7][:len(times[5::7])]  # repeated knots
+    keyframes = [(float(times[0]), random_pose(rng))]
+    for t in times[1:]:
+        prev = keyframes[-1][1]
+        kind = rng.integers(4)
+        if kind == 0:  # within the lerp branch's 1e-12 of the previous rotation
+            q = prev.rotation + rng.normal(scale=1e-8, size=4)
+            pose = Pose(q / np.linalg.norm(q), rng.uniform(-1, 1, 3))
+        elif kind == 1:  # the same rotation with the opposite sign
+            pose = Pose(-prev.rotation, rng.uniform(-1, 1, 3))
+        else:
+            pose = random_pose(rng)
+        keyframes.append((float(t), pose))
+    return keyframes
+
+
+def test_batched_pose_at_matches_the_scalar_form_bit_for_bit():
+    rng = np.random.default_rng(14)
+    mover = SceneObject(mesh=make_box(), keyframes=random_keyframes(rng, 50), name="m")
+    knots = np.array([k[0] for k in mover.keyframes])
+    t = np.concatenate([knots, rng.uniform(knots[0], knots[-1], size=20_000)])
+    batch = mover.pose_at(t)
+    assert batch.rotation.shape == (len(t), 4)
+    assert_same_bits(batch, [(p.rotation, p.translation)
+                             for p in (pose_at_scalar(mover, tk) for tk in t)])
+    for tk in (knots[0], knots[-1], t[-1]):  # a single time is the batch shape ()
+        single, reference = mover.pose_at(tk), pose_at_scalar(mover, tk)
+        assert single.rotation.shape == (4,)
+        assert_same_bits(single, [(reference.rotation, reference.translation)])
+    one = SceneObject(mesh=make_box(), keyframes=mover.keyframes[:1])
+    assert_same_bits(one.pose_at(np.full(3, knots[0])),
+                     [(mover.keyframes[0][1].rotation, mover.keyframes[0][1].translation)] * 3)
+    with pytest.raises(DomainError):
+        mover.pose_at(np.array([knots[0], knots[-1] + 1e-9]))
 
 
 # ---------------------------------------------------------------------------

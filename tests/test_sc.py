@@ -5,10 +5,11 @@ import pytest
 
 from hybridskin.errors import CalibrationError
 from hybridskin.sc import (ElectrodeModel, MeasurementSpec, ScSample,
-                           calibrate_interference, capacitance, expected_counts,
-                           fit_snr_table, measure_counts, measure_counts_array,
+                           calibrate_interference, capacitance, contact_capacitance,
+                           expected_counts, fit_snr_table, measure_counts,
                            schedule_streams, simulate_cell_counts)
 from hybridskin.tof import ToFSpec, frame_times
+from references import measure_counts_scalar
 
 
 def covered_electrode(**kw):
@@ -109,8 +110,8 @@ def test_noise_free_counts_increase_with_capacitance():
 def test_tof_active_inflates_variance_in_quadrature():
     spec = MeasurementSpec(count_noise=10.0, tof_interference=26.0)
     rng = np.random.default_rng(42)
-    quiet = measure_counts_array(10e-12, spec, False, rng, 10_000)
-    noisy = measure_counts_array(10e-12, spec, True, rng, 10_000)
+    quiet = measure_counts(np.full(10_000, 10e-12), spec, False, rng)
+    noisy = measure_counts(np.full(10_000, 10e-12), spec, True, rng)
     assert quiet.std() ** 2 == pytest.approx(10.0 ** 2, rel=0.10)
     assert noisy.std() ** 2 == pytest.approx(10.0 ** 2 + 26.0 ** 2, rel=0.10)
 
@@ -141,10 +142,39 @@ def test_scalar_and_array_paths_share_statistics():
     scalars = np.array([measure_counts(10e-12, spec, False,
                                        np.random.default_rng([3, i]))
                         for i in range(4000)])
-    batch = measure_counts_array(10e-12, spec, False,
-                                 np.random.default_rng(9), 4000)
+    batch = measure_counts(np.full(4000, 10e-12), spec, False,
+                           np.random.default_rng(9))
     assert scalars.mean() == pytest.approx(batch.mean(), abs=1.0)
     assert scalars.std() == pytest.approx(batch.std(), rel=0.1)
+
+
+@pytest.mark.parametrize("spec, tof_active", [
+    (MeasurementSpec(count_noise=5.0, tof_interference=11.0), False),
+    (MeasurementSpec(count_noise=5.0, tof_interference=11.0), True),
+    (MeasurementSpec(count_noise=1000.0), True),  # reaches the clamp at 0
+    (MeasurementSpec(count_noise=0.0, tof_interference=0.0), True),
+], ids=["tof_idle", "tof_active", "clamped", "sigma_0"])
+def test_one_size_n_draw_equals_n_size_one_draws(spec, tof_active):
+    c = np.random.default_rng(4).uniform(5e-12, 30e-12, size=5000)
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    batch = measure_counts(c, spec, tof_active, rng)
+    assert batch.dtype == np.int64 and batch.shape == c.shape
+    assert batch.tolist() == [measure_counts_scalar(ck, spec, tof_active, twin) for ck in c]
+    assert rng.random() == twin.random()
+    assert measure_counts(c[:0], spec, tof_active, rng).shape == (0,)
+
+
+def test_contact_capacitance_matches_the_compressed_electrode_bit_for_bit():
+    electrode = covered_electrode()
+    d = np.concatenate([[0.0, 0.002, 0.006, electrode.t_cov, np.inf],
+                        np.random.default_rng(5).uniform(0.0, 0.05, size=2000)])
+    got = contact_capacitance(electrode, d)
+    for dk, ck in zip(d, got):
+        delta = float(np.clip(electrode.t_cov - dk, 0.0, electrode.delta_max))
+        assert ck == capacitance(electrode.compressed(delta), dk)
+    assert got[4] == electrode.c0  # inf: no conductive object
+    with pytest.raises(ValueError):
+        contact_capacitance(electrode, np.array([0.1, -1e-9]))
 
 
 def test_sc_sample_rejects_negative_counts():
@@ -230,8 +260,8 @@ def test_calibration_round_trips_through_measurement_statistics():
     rng = np.random.default_rng(0)
     n = 20_000
     for tof_active, target in ((False, 120.0), (True, 50.0)):
-        inactive = measure_counts_array(10e-12, spec, tof_active, rng, n)
-        active = measure_counts_array(active_c, spec, tof_active, rng, n)
+        inactive = measure_counts(np.full(n, 10e-12), spec, tof_active, rng)
+        active = measure_counts(np.full(n, active_c), spec, tof_active, rng)
         got = abs(inactive.mean() - active.mean()) / inactive.std(ddof=1)
         assert got == pytest.approx(target, rel=0.05)
 
