@@ -8,7 +8,6 @@ contact verdict at a configurable threshold (default 7).
 """
 
 import itertools
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,11 @@ INACTIVE = "INACTIVE"
 ACTIVE_REST = "ACTIVE_REST"
 ACTIVE_SQUEEZE = "ACTIVE_SQUEEZE"
 ACTIVITY_STATES = (INACTIVE, ACTIVE_REST, ACTIVE_SQUEEZE)
+
+# Zone rays of one block of reconstruct's back-projection: 64 frames of
+# 8x8 zones. Rays for a whole log at once raise the peak memory of a
+# long replay by several MB.
+_RAY_BLOCK = 1 << 12
 
 
 @dataclass
@@ -56,14 +60,19 @@ def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
     """World-space point per valid zone of every frame, in frame then zone order.
 
     Frames reference the chain's mounts by sensor_id == mount site_id. One
-    pass evaluates the trajectory and poses the mount of every frame; each
-    run of consecutive frames that share a timestamp then back-projects
-    along the zone rays that simulate casts (tof.zone_rays).
+    pass evaluates the trajectory and poses the mount of every frame; the
+    frames are then back-projected along the zone rays that simulate casts
+    (tof.zone_rays), in blocks of consecutive frames of at most _RAY_BLOCK
+    rays, into one preallocated array. Every row of a block carries the
+    bits of the one-pose ray.
     Raises UnknownSensorError for unmatched frames and DomainError (from
     the trajectory) for timestamps outside its domain, for the first fault
-    in frame order; a run's timestamp counts after its first frame's sensor
-    and before the others.
+    in frame order. Frames are grouped into runs of consecutive frames that
+    share a timestamp only for this order: a run's timestamp counts after
+    its first frame's sensor and before the others. Raises ValueError for a
+    frame whose zone grid is not the spec's.
     """
+    frames = list(frames)
     by_site = {m.site_id: m for m in chain.sensor_mounts}
     runs = [list(run) for _, run in itertools.groupby(frames, key=lambda f: f.timestamp)]
     unknown = next(((k, j) for k, run in enumerate(runs) for j, f in enumerate(run)
@@ -78,20 +87,27 @@ def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
     if not runs:
         return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
     poses = mount_poses(chain, np.repeat(q, [len(run) for run in runs], axis=0),
-                        [by_site[f.sensor_id] for run in runs for f in run])
+                        [by_site[f.sensor_id] for f in frames])
 
     n_zones = spec.nx * spec.ny
-    points, ids, times = [], [], []
-    start = 0
-    for run in runs:
-        origins, directions = zone_rays(poses[start:start + len(run)], spec)
-        start += len(run)
-        d = np.concatenate([f.distances.reshape(-1) for f in run])
-        valid = np.concatenate([f.valid.reshape(-1) for f in run])
-        points.append(origins[valid] + d[valid, None] * directions[valid])
-        ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
-        times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
-    return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
+    odd = next((f for f in frames if f.valid.size != n_zones), None)
+    if odd is not None:
+        raise ValueError(f"frame of sensor {odd.sensor_id} at t={odd.timestamp} has "
+                         f"{odd.valid.size} zones, the spec has {n_zones}")
+    valid = np.concatenate([f.valid.reshape(-1) for f in frames])
+    counts = valid.reshape(len(frames), n_zones).sum(axis=1)
+    points = np.empty((int(counts.sum()), 3))
+    step = max(1, _RAY_BLOCK // n_zones)
+    row = 0
+    for start in range(0, len(frames), step):
+        origins, directions = zone_rays(poses[start:start + step], spec)
+        d = np.concatenate([f.distances.reshape(-1) for f in frames[start:start + step]])
+        v = valid[start * n_zones:(start + step) * n_zones]
+        n = np.count_nonzero(v)
+        points[row:row + n] = origins[v] + d[v, None] * directions[v]
+        row += n
+    return PointCloud(points, np.repeat([f.sensor_id for f in frames], counts),
+                      np.repeat([f.timestamp for f in frames], counts))
 
 
 @dataclass(frozen=True)
@@ -331,6 +347,32 @@ def pressure_series(samples, labels: ActivityLabel) -> PressureReport:
 # PLY export (x, y, z float32; sensor_id uint32; t float32)
 # ---------------------------------------------------------------------------
 
+# One binary_little_endian vertex record, the layout the header declares.
+_PLY_VERTEX = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+                        ("sensor_id", "<u4"), ("t", "<f4")])
+
+
+def _ply_vertices(cloud: PointCloud) -> np.ndarray:
+    """The cloud as _PLY_VERTEX records; ValueError where a value does not fit."""
+    ids = cloud.sensor_ids
+    bad = (ids < 0) | (ids > np.iinfo(np.uint32).max)
+    if np.any(bad):
+        raise ValueError(f"PLY sensor_id {ids[bad][0]} is outside [0, 2**32)")
+    vertices = np.empty(len(cloud), dtype=_PLY_VERTEX)
+    for name, values in (("x", cloud.points[:, 0]), ("y", cloud.points[:, 1]),
+                         ("z", cloud.points[:, 2]), ("t", cloud.timestamps)):
+        # float64 -> float32 rounds to nearest even; a finite value that
+        # rounds to inf does not fit.
+        with np.errstate(over="ignore"):
+            vertices[name] = values
+        bad = np.isinf(vertices[name]) & np.isfinite(values)
+        if np.any(bad):
+            raise ValueError(f"PLY {name} value {values[bad][0]:g} is outside "
+                             "the float32 range")
+    vertices["sensor_id"] = ids
+    return vertices
+
+
 def save_ply(cloud: PointCloud, path, binary: bool = True):
     n = len(cloud)
     fmt = "binary_little_endian" if binary else "ascii"
@@ -347,10 +389,10 @@ def save_ply(cloud: PointCloud, path, binary: bool = True):
     ]) + "\n"
     path = Path(path)
     if binary:
+        vertices = _ply_vertices(cloud)
         with open(path, "wb") as f:
             f.write(header.encode("ascii"))
-            for p, sid, t in zip(cloud.points, cloud.sensor_ids, cloud.timestamps):
-                f.write(struct.pack("<fffIf", p[0], p[1], p[2], int(sid), t))
+            vertices.tofile(f)
     else:
         with open(path, "w") as f:
             f.write(header)
@@ -370,21 +412,17 @@ def load_ply(path) -> PointCloud:
             n = int(line.split()[-1])
         elif line.startswith("format binary_little_endian"):
             binary = True
+    if binary:
+        vertices = np.frombuffer(data, dtype=_PLY_VERTEX, count=n, offset=end)
+        return PointCloud(np.column_stack([vertices["x"], vertices["y"], vertices["z"]]),
+                          vertices["sensor_id"], vertices["t"])
     points = np.zeros((n, 3))
     ids = np.zeros(n, dtype=np.int64)
     times = np.zeros(n)
-    if binary:
-        rec = struct.Struct("<fffIf")
-        for i in range(n):
-            x, y, z, sid, t = rec.unpack_from(data, end + i * rec.size)
-            points[i] = (x, y, z)
-            ids[i] = sid
-            times[i] = t
-    else:
-        lines = data[end:].decode("ascii").split("\n")
-        for i in range(n):
-            parts = lines[i].split()
-            points[i] = [float(v) for v in parts[:3]]
-            ids[i] = int(parts[3])
-            times[i] = float(parts[4])
+    lines = data[end:].decode("ascii").split("\n")
+    for i in range(n):
+        parts = lines[i].split()
+        points[i] = [float(v) for v in parts[:3]]
+        ids[i] = int(parts[3])
+        times[i] = float(parts[4])
     return PointCloud(points, ids, times)

@@ -231,8 +231,10 @@ def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
     tof_spec = cfgmod.build_tof_spec(cfg)
-    records = logs.read_log(log_path)
-    frames = logs.tof_frames_from_records(records, nx=tof_spec.nx, ny=tof_spec.ny)
+    # The parsed records are freed before reconstruct runs, which lowers
+    # its peak memory.
+    frames = logs.tof_frames_from_records(logs.read_log(log_path),
+                                          nx=tof_spec.nx, ny=tof_spec.ny)
     cloud = analysis.reconstruct(frames, chain, trajectory, tof_spec)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,18 +279,17 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
     for site_id in sorted(set(by_site) & set(labels)):
         site_samples = by_site[site_id]
         label = labels[site_id]
-        inactive = [s.counts for s in site_samples
-                    if label.state_at(s.timestamp) == analysis.INACTIVE]
-        active = [s.counts for s in site_samples
-                  if label.state_at(s.timestamp) in
-                  (analysis.ACTIVE_REST, analysis.ACTIVE_SQUEEZE)]
+        states = [label.state_at(s.timestamp) for s in site_samples]
+        inactive = [s.counts for s, state in zip(site_samples, states)
+                    if state == analysis.INACTIVE]
+        active = [s.counts for s, state in zip(site_samples, states)
+                  if state in (analysis.ACTIVE_REST, analysis.ACTIVE_SQUEEZE)]
         report = analysis.snr(inactive, active, threshold, site_id=site_id)
         rows.append(f"site{site_id},{site_id},{report.mu_n:.6f},"
                     f"{report.sigma_n:.6f},{report.mu:.6f},{report.snr:.6f},"
                     f"{str(report.contact).lower()}")
         summary.append(f"site {site_id}: snr={report.snr:.2f} "
                        f"contact={str(report.contact).lower()}")
-        states = {label.state_at(s.timestamp) for s in site_samples}
         if analysis.ACTIVE_SQUEEZE in states and analysis.ACTIVE_REST in states:
             p = analysis.pressure_series(site_samples, label)
             pressure_lines.append(

@@ -5,17 +5,21 @@ batched or vectorized way, or a fixture writer the library has no use for.
 Tests import them as `from references import ...`.
 """
 
+import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from hybridskin.errors import DimensionError, DomainError
-from hybridskin.kinematics import REVOLUTE, Pose, _quat_normalize, quat_to_matrix
+from hybridskin.analysis import PointCloud
+from hybridskin.kinematics import (REVOLUTE, Pose, _quat_normalize, mount_poses,
+                                   quat_to_matrix)
 from hybridskin.mesh import TriMesh
 from hybridskin.raycast import Ray, TriangleSet, _intersect_rows, point_mesh_distance
 from hybridskin.sc import expected_counts
-from hybridskin.tof import ToFSpec, zone_direction_local
+from hybridskin.tof import ToFSpec, zone_direction_local, zone_rays
 
 
 def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
@@ -223,3 +227,37 @@ def measure_counts_scalar(c: float, spec, tof_active: bool, rng) -> int:
     if sigma == 0.0:
         return max(base, 0)
     return max(int(np.rint(base + rng.normal(0.0, sigma, size=1))[0]), 0)
+
+
+# ---------------------------------------------------------------------------
+# Run-by-run reconstruction and point-by-point PLY: the bit references of
+# analysis.reconstruct's ray blocks and save_ply's one-array write
+# ---------------------------------------------------------------------------
+
+def reconstruct_by_runs(frames, chain, trajectory, spec: ToFSpec) -> PointCloud:
+    """One zone_rays call per run of frames that share a timestamp."""
+    by_site = {m.site_id: m for m in chain.sensor_mounts}
+    runs = [list(run) for _, run in itertools.groupby(frames, key=lambda f: f.timestamp)]
+    if not runs:
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
+    q = trajectory.value_at(np.array([run[0].timestamp for run in runs]))
+    poses = mount_poses(chain, np.repeat(q, [len(run) for run in runs], axis=0),
+                        [by_site[f.sensor_id] for f in frames])
+    n_zones = spec.nx * spec.ny
+    points, ids, times = [], [], []
+    start = 0
+    for run in runs:
+        origins, directions = zone_rays(poses[start:start + len(run)], spec)
+        start += len(run)
+        d = np.concatenate([f.distances.reshape(-1) for f in run])
+        valid = np.concatenate([f.valid.reshape(-1) for f in run])
+        points.append(origins[valid] + d[valid, None] * directions[valid])
+        ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
+        times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
+    return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
+
+
+def ply_binary_body_struct(cloud: PointCloud) -> bytes:
+    """The binary PLY vertex records, one struct.pack per point."""
+    return b"".join(struct.pack("<fffIf", p[0], p[1], p[2], int(sid), t)
+                    for p, sid, t in zip(cloud.points, cloud.sensor_ids, cloud.timestamps))

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hybridskin import analysis
 from hybridskin.analysis import (ACTIVE_REST, ACTIVE_SQUEEZE, INACTIVE,
                                  ActivityLabel, CellLog, PointCloud,
                                  build_cell_logs, evaluate_configurations,
@@ -15,7 +18,8 @@ from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from hybridskin.sc import ScSample, fit_snr_table
 from hybridskin.tof import ToFFrame, ToFSpec, capture_frame, capture_frames
-from references import raycast_brute_force, stack_poses, zone_ray
+from references import (ply_binary_body_struct, raycast_brute_force,
+                        reconstruct_by_runs, stack_poses, zone_ray)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -217,6 +221,49 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
     assert np.array_equal(cloud.timestamps, times)
 
 
+def test_reconstruct_blocks_carry_the_bits_of_the_run_by_run_form(monkeypatch):
+    spec = ToFSpec()
+    chain, traj, _ = three_sensor_orbit()
+    rng = np.random.default_rng(5)
+    # Runs of 1 to 4 frames sharing a timestamp, some with no valid zone.
+    frames, starts = [], []
+    while len(frames) < 200:
+        starts.append(len(frames))
+        t = float(rng.uniform(0.0, 2.0))
+        for _ in range(int(rng.integers(1, 5))):
+            valid = rng.random((spec.nx, spec.ny)) < 0.6
+            if rng.random() < 0.1:
+                valid[:] = False
+            d = np.where(valid, rng.uniform(0.01, spec.max_range, valid.shape), np.nan)
+            frames.append(ToFFrame(int(rng.integers(0, 3)), t, d, valid))
+    block = analysis._RAY_BLOCK // (spec.nx * spec.ny)
+    ends = starts[1:] + [len(frames)]
+    assert sum(s < e - 1 and s // block != (e - 1) // block
+               for s, e in zip(starts, ends)) >= 2  # runs straddle block edges
+    assert any(not f.valid.any() for f in frames)
+    n_rays = len(frames) * spec.nx * spec.ny
+    assert n_rays > 2 * analysis._RAY_BLOCK
+
+    calls = []
+    zone_rays = analysis.zone_rays
+    monkeypatch.setattr(analysis, "zone_rays",
+                        lambda poses, s: calls.append(len(poses)) or zone_rays(poses, s))
+    cloud = reconstruct(frames, chain, traj, spec)
+    reference = reconstruct_by_runs(frames, chain, traj, spec)
+    assert len(calls) == math.ceil(n_rays / analysis._RAY_BLOCK)
+    assert np.array_equal(cloud.points, reference.points)
+    assert np.array_equal(cloud.sensor_ids, reference.sensor_ids)
+    assert np.array_equal(cloud.timestamps, reference.timestamps)
+
+
+def test_reconstruct_rejects_frames_of_another_zone_grid():
+    spec = ToFSpec()
+    chain, traj, _ = three_sensor_orbit()
+    frames = [ToFFrame(0, 0.5, np.ones((4, 4)), np.ones((4, 4), dtype=bool))] * 256
+    with pytest.raises(ValueError, match="16 zones"):
+        reconstruct(frames, chain, traj, spec)
+
+
 def test_unknown_sensor_inside_a_run_raises():
     spec = ToFSpec(range_noise_sigma=0.0)
     chain, traj, tris = three_sensor_orbit()
@@ -414,6 +461,45 @@ def test_ply_binary_round_trip(tmp_path):
     assert len(loaded) == len(cloud)
     assert np.allclose(loaded.points, cloud.points, atol=1e-6)
     assert np.array_equal(loaded.sensor_ids, cloud.sensor_ids)
+
+
+def test_ply_binary_body_matches_struct_pack_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    f32_max = float(np.finfo(np.float32).max)
+    magnitudes = np.concatenate([
+        10.0 ** rng.uniform(-45, 38, 300),  # subnormal to near float32 max
+        [0.0, 1e-46, 5e-324, 1.0 + 2.0 ** -24, 1.0 + 3 * 2.0 ** -24, f32_max]])
+    values = magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
+    n = values.size // 3
+    times = rng.permutation(values)[:n]
+    times[:2] = [np.inf, np.nan]
+    ids = rng.integers(0, 2 ** 32, n)
+    ids[:2] = [0, 2 ** 32 - 1]
+    cloud = PointCloud(values[:3 * n].reshape(n, 3), ids, times)
+    path = tmp_path / "cloud.ply"
+    save_ply(cloud, path, binary=True)
+    data = path.read_bytes()
+    body = ply_binary_body_struct(cloud)
+    assert data.index(b"end_header\n") + len(b"end_header\n") == len(data) - len(body)
+    assert data.endswith(body)
+    loaded = load_ply(path)
+    assert np.array_equal(loaded.points, cloud.points.astype(np.float32))
+    assert np.array_equal(loaded.sensor_ids, cloud.sensor_ids)
+    assert np.array_equal(loaded.timestamps, cloud.timestamps.astype(np.float32),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("sensor_id,point,t", [
+    (-1, 0.0, 0.0),
+    (2 ** 32, 0.0, 0.0),
+    (0, 3.5e38, 0.0),
+    (0, -1e300, 0.0),
+    (0, 0.0, 1e39),
+])
+def test_ply_binary_rejects_values_outside_its_types(tmp_path, sensor_id, point, t):
+    cloud = PointCloud([[0.0, point, 0.0]], [sensor_id], [t])
+    with pytest.raises(ValueError, match="PLY"):
+        save_ply(cloud, tmp_path / "cloud.ply", binary=True)
 
 
 def test_ply_ascii_round_trip(tmp_path):

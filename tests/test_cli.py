@@ -356,6 +356,27 @@ def test_reconstruct_binary_format(tmp_path):
     assert b"binary_little_endian" in head
 
 
+def test_reconstruct_reports_a_sensor_id_the_ply_cannot_hold(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path, duration=0.5)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    chain = json.loads((tmp_path / "chain.json").read_text())
+    chain["mounts"][0]["site_id"] = 2 ** 32
+    write_json(tmp_path / "chain.json", chain)
+    records = read_log(sim_out / "samples.jsonl")
+    for r in records:
+        if r["type"] == "tof":
+            r["sensor_id"] = 2 ** 32
+    log = tmp_path / "big_id.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--log", str(log),
+                 "--out", str(tmp_path / "rec")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert "sensor_id 4294967296" in error["message"]
+
+
 def test_simulate_and_reconstruct_pose_each_batch_in_one_forward_pass(tmp_path, monkeypatch):
     from hybridskin import kinematics
     calls = []
