@@ -388,8 +388,8 @@ def save_ply(cloud: PointCloud, path, binary: bool = True):
         "end_header",
     ]) + "\n"
     path = Path(path)
+    vertices = _ply_vertices(cloud)  # both formats hold the same value ranges
     if binary:
-        vertices = _ply_vertices(cloud)
         with open(path, "wb") as f:
             f.write(header.encode("ascii"))
             vertices.tofile(f)

@@ -7,7 +7,6 @@ dermis/covering point correspondence trivial for support placement.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,13 +210,41 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
         raise ValueError("covering must be an offset copy of the dermis (same connectivity)")
     if spacing <= 0.0 or radius <= 0.0:
         raise ValueError("support spacing and radius must be > 0")
+    keepouts = list(keepouts)
+    pos, top, blocked = _support_candidates(dermis, covering, keepouts, radius, seed)
+    accepted = _greedy_place(pos, blocked, spacing)
+    if not accepted.size:
+        raise PlacementError(
+            f"no support placement possible with {len(keepouts)} keepout(s) "
+            f"and spacing {spacing}")
+
+    # Every support in one (supports, segments) pass, sharing one face table.
+    base, top = pos[accepted], top[accepted]
+    axis = top - base
+    length = np.sqrt(_rowdot(axis, axis))
+    if np.any(length <= 0.0):
+        raise ValueError("support has zero length (coincident dermis/covering points)")
+    t1, t2 = tangent_frame(axis / length[:, None])
+    circle = radius * unit_circle(segments, t1, t2)
+    verts = np.concatenate([base[:, None] + circle, top[:, None] + circle,
+                            base[:, None], top[:, None]], axis=1)
+    faces = cylinder_faces(segments)
+    tags = np.full(len(faces), int(Material.FLEXIBLE), dtype=np.int8)
+    return [TriMesh(v, faces, tags) for v in verts]
+
+
+def _support_candidates(dermis, covering, keepouts, radius, seed):
+    """SUPPORT_CANDIDATES dermis points, their covering tops, and which are blocked.
+
+    A candidate is blocked when either end lies within keepout radius +
+    `radius` of a keepout's axis.
+    """
     rng = np.random.default_rng(seed)
     pos, face_idx, bary = sample_surface(dermis, SUPPORT_CANDIDATES, rng)
     top = np.einsum("ij,ijk->ik", bary, covering.vertices[covering.faces[face_idx]])
 
     # One keepout at a time: a (candidates, keepouts, 3) array would take
     # tens of MB, and glibc keeps the heap of later calls that large.
-    keepouts = list(keepouts)
     blocked = np.zeros(len(pos), dtype=bool)
     for k in keepouts:
         center = np.asarray(k.center, dtype=np.float64)
@@ -227,79 +254,74 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
             rel = end - center
             axial = np.einsum("ij,j->i", rel, normal)
             blocked |= np.einsum("ij,ij->i", rel, rel) - axial * axial < r * r
+    return pos, top, blocked
 
-    # Greedy dart throwing with a grid hash: a conflict closer than
-    # `spacing` can only sit in the same or an adjacent cell.
+
+def _greedy_place(pos, blocked, spacing):
+    """Indices of the points a greedy pass in index order accepts.
+
+    A point is accepted when it is not blocked and, for every point p
+    accepted before it, (x-px)**2 + (y-py)**2 + (z-pz)**2 >= spacing**2.
+    Sequential elimination: each accepted point removes the live points
+    closer than `spacing`. They are looked up in a window of the points
+    sorted once along the axis of largest extent; the window is padded by
+    a relative 1e-9, more than rounding can take off a coordinate
+    difference, so it never misses a point that conflicts.
+    """
+    live = np.flatnonzero(~blocked)
+    if not live.size:
+        return live
+    p = pos[live]
+    sweep = int(np.argmax(p.max(axis=0) - p.min(axis=0)))
+    order = np.argsort(p[:, sweep], kind="stable")
+    xs, ys, zs = (np.ascontiguousarray(p[order, k]) for k in range(3))
+    key = (xs, ys, zs)[sweep]
+    reach = spacing * (1.0 + 1e-9)
+    lo = np.searchsorted(key, key - reach, side="left").tolist()
+    hi = np.searchsorted(key, key + reach, side="right").tolist()
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+
     spacing_sq = spacing * spacing
-    inv_cell = 1.0 / spacing
-    grid = {}
+    alive = np.ones(len(order), dtype=bool)
     accepted = []
-    pos_list = pos.tolist()
-    for c in range(SUPPORT_CANDIDATES):
-        if blocked[c]:
+    for r in rank.tolist():
+        if not alive[r]:
             continue
-        x, y, z = pos_list[c]
-        ix = math.floor(x * inv_cell)
-        iy = math.floor(y * inv_cell)
-        iz = math.floor(z * inv_cell)
-        ok = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for px, py, pz in grid.get((ix + dx, iy + dy, iz + dz), ()):
-                        if (x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2 < spacing_sq:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        grid.setdefault((ix, iy, iz), []).append((x, y, z))
-        accepted.append(c)
-
-    if not accepted:
-        raise PlacementError(
-            f"no support placement possible with {len(keepouts)} keepout(s) "
-            f"and spacing {spacing}")
-    return [_support_cylinder(pos[c], top[c], radius, segments) for c in accepted]
+        accepted.append(r)
+        a, b = lo[r], hi[r]
+        if b - a > 1:
+            d2 = (xs[a:b] - xs[r]) ** 2 + (ys[a:b] - ys[r]) ** 2 + (zs[a:b] - zs[r]) ** 2
+            alive[a:b] &= ~(d2 < spacing_sq)
+    return live[order[accepted]]
 
 
-def _support_cylinder(base, top, radius, segments):
-    """Closed cylinder from base to top, tagged FLEXIBLE."""
-    axis = np.asarray(top, dtype=np.float64) - np.asarray(base, dtype=np.float64)
-    length = np.linalg.norm(axis)
-    if length <= 0.0:
-        raise ValueError("support has zero length (coincident dermis/covering points)")
-    n = axis / length
-    t1, t2 = tangent_frame(n)
+def cylinder_faces(segments):
+    """Face table of a closed cylinder, outward for a right-handed (t1, t2, axis).
+
+    Vertices: the base circle, the top circle, then the base and top
+    centres. Per segment j: two side faces, one base and one top cap face.
+    """
+    s = segments
+    j = np.arange(s)
+    k = (j + 1) % s
+    bot, top = np.full(s, 2 * s), np.full(s, 2 * s + 1)
+    return np.array([[j, k, s + k], [j, s + k, s + j],
+                     [bot, k, j], [top, s + j, s + k]]).transpose(2, 0, 1).reshape(-1, 3)
+
+
+def unit_circle(segments, t1, t2):
+    """Unit circle points cos(phi) t1 + sin(phi) t2, shape t1.shape[:-1] + (segments, 3)."""
     phis = 2.0 * np.pi * np.arange(segments) / segments
-    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
-    verts = np.vstack([
-        base + radius * circle,
-        top + radius * circle,
-        [base, top],
-    ])
-    bot_c, top_c = 2 * segments, 2 * segments + 1
-    faces = []
-    for j in range(segments):
-        a, b = j, (j + 1) % segments
-        c, d = segments + j, segments + (j + 1) % segments
-        faces.append([a, b, d])
-        faces.append([a, d, c])
-        faces.append([bot_c, b, a])
-        faces.append([top_c, c, d])
-    return TriMesh.from_arrays(verts, faces, Material.FLEXIBLE)
+    t1, t2 = np.asarray(t1)[..., None, :], np.asarray(t2)[..., None, :]
+    return np.cos(phis)[:, None] * t1 + np.sin(phis)[:, None] * t2
 
 
 def tangent_frame(normal):
-    """Deterministic orthonormal (t1, t2) completing the given unit normal."""
+    """Deterministic orthonormal (t1, t2) completing unit normal(s) of shape (..., 3)."""
     n = np.asarray(normal, dtype=np.float64)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+    ref = np.where(np.abs(n[..., :1]) <= 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     t1 = np.cross(n, ref)
-    t1 = t1 / np.linalg.norm(t1)
+    t1 = t1 / np.sqrt(_rowdot(t1, t1))[..., None]
     t2 = np.cross(n, t1)
     return t1, t2

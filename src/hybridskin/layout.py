@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CouplingGapError, SaturationError
-from .geometry import Footprint, generate_supports, tangent_frame
+from .geometry import (Footprint, cylinder_faces, generate_supports, tangent_frame,
+                       unit_circle)
 from .mesh import Material, TriMesh, sample_surface
 
 BARY_TOL = 1e-9
@@ -162,53 +163,37 @@ def instance_ring(site: SurfaceSite, spec: RingSpec) -> TriMesh:
     site normal). 4 x segments vertices, 8 x segments faces, closed.
     """
     n = np.asarray(site.normal)
-    t1, t2 = tangent_frame(n)
     base = np.asarray(site.position)
-    s = spec.segments
-    phis = 2.0 * np.pi * np.arange(s) / s
-    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
+    circle = unit_circle(spec.segments, *tangent_frame(n))
     rings = [base + spec.inner_radius * circle,
              base + spec.outer_radius * circle,
              base + spec.inner_radius * circle + spec.height * n,
              base + spec.outer_radius * circle + spec.height * n]
-    verts = np.vstack(rings)
+    s = spec.segments
+    j = np.arange(s)
+    k = (j + 1) % s
     IB, OB, IT, OT = 0, s, 2 * s, 3 * s
-    faces = []
-    for j in range(s):
-        k = (j + 1) % s
-        faces.append([IB + j, OB + k, OB + j])   # bottom annulus (-n)
-        faces.append([IB + j, IB + k, OB + k])
-        faces.append([IT + j, OT + j, OT + k])   # top annulus (+n)
-        faces.append([IT + j, OT + k, IT + k])
-        faces.append([OB + j, OB + k, OT + k])   # outer wall (radial out)
-        faces.append([OB + j, OT + k, OT + j])
-        faces.append([IB + j, IT + k, IB + k])   # inner wall (radial in)
-        faces.append([IB + j, IT + j, IT + k])
-    return TriMesh.from_arrays(verts, faces, Material.CONDUCTIVE)
+    faces = np.array([
+        [IB + j, OB + k, OB + j], [IB + j, IB + k, OB + k],   # bottom annulus (-n)
+        [IT + j, OT + j, OT + k], [IT + j, OT + k, IT + k],   # top annulus (+n)
+        [OB + j, OB + k, OT + k], [OB + j, OT + k, OT + j],   # outer wall (radial out)
+        [IB + j, IT + k, IB + k], [IB + j, IT + j, IT + k],   # inner wall (radial in)
+    ]).transpose(2, 0, 1).reshape(-1, 3)
+    return TriMesh.from_arrays(np.vstack(rings), faces, Material.CONDUCTIVE)
 
 
 def instance_mount(site: SurfaceSite, spec: MountSpec) -> TriMesh:
     """Solid cylindrical mount body on the site, STRUCTURAL."""
     n = np.asarray(site.normal)
-    t1, t2 = tangent_frame(n)
     base = np.asarray(site.position)
     s = 32
-    phis = 2.0 * np.pi * np.arange(s) / s
-    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
+    circle = unit_circle(s, *tangent_frame(n))
     verts = np.vstack([
         base + spec.footprint_radius * circle,
         base + spec.footprint_radius * circle + spec.height * n,
         [base, base + spec.height * n],
     ])
-    bot_c, top_c = 2 * s, 2 * s + 1
-    faces = []
-    for j in range(s):
-        k = (j + 1) % s
-        faces.append([j, k, s + k])
-        faces.append([j, s + k, s + j])
-        faces.append([bot_c, k, j])
-        faces.append([top_c, s + j, s + k])
-    return TriMesh.from_arrays(verts, faces, Material.STRUCTURAL)
+    return TriMesh.from_arrays(verts, cylinder_faces(s), Material.STRUCTURAL)
 
 
 def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,

@@ -160,37 +160,29 @@ def validate_mesh(mesh: TriMesh) -> ValidationReport:
             degen.tolist()))
 
     # Winding: a shared undirected edge must be traversed in opposite
-    # directions by its two faces.
+    # directions by its two faces. Edges are keyed lo * n + hi and kept in
+    # the order of their first directed appearance.
     directed = mesh.edges()
-    keys = {}
-    winding_ok = True
-    conflict_edges = []
-    for a, b in directed:
-        a, b = int(a), int(b)
-        key = (a, b) if a < b else (b, a)
-        sign = 1 if a < b else -1
-        prev = keys.get(key)
-        if prev is None:
-            keys[key] = [sign]
-        else:
-            prev.append(sign)
-    boundary = 0
-    for key, signs in keys.items():
-        if len(signs) == 1:
-            boundary += 1
-        elif len(signs) == 2:
-            if signs[0] == signs[1]:
-                winding_ok = False
-                conflict_edges.append(key)
-        else:
-            findings.append(Finding(
-                "non-manifold-edge", "warning",
-                f"edge {key} shared by {len(signs)} faces", [list(key)]))
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    sign = np.where(directed[:, 0] < directed[:, 1], 1, -1)
+    _, first, inverse, counts = np.unique(lo * mesh.n_vertices + hi, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    net = np.bincount(inverse, weights=sign, minlength=len(first))
+    order = np.argsort(first)
+    first, counts, net = first[order], counts[order], net[order]
+    key = lambda e: (int(lo[first[e]]), int(hi[first[e]]))
+    boundary = int(np.count_nonzero(counts == 1))
+    for e in np.flatnonzero(counts > 2):
+        findings.append(Finding(
+            "non-manifold-edge", "warning",
+            f"edge {key(e)} shared by {counts[e]} faces", [list(key(e))]))
+    conflicts = np.flatnonzero((counts == 2) & (net != 0))
+    winding_ok = not conflicts.size
     if not winding_ok:
         findings.append(Finding(
             "inconsistent-winding", "error",
-            f"{len(conflict_edges)} edge(s) traversed twice in the same direction",
-            [list(k) for k in conflict_edges[:16]]))
+            f"{conflicts.size} edge(s) traversed twice in the same direction",
+            [list(key(e)) for e in conflicts[:16]]))
 
     unreferenced = np.setdiff1d(np.arange(mesh.n_vertices), mesh.faces.reshape(-1))
     if unreferenced.size:

@@ -70,19 +70,18 @@ def _parse_ascii_stl(text):
     return np.array(tris, dtype=np.float64)
 
 
+# One binary STL facet: normal, three corners, attribute byte count.
+_STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("corners", "<f4", (3, 3)), ("attr", "<u2")])
+
+
 def save_stl(mesh: TriMesh, path):
     """Write a single binary STL containing every face of the mesh."""
-    tris = mesh.triangles().astype("<f4")
-    normals = mesh.face_normals().astype("<f4")
-    out = bytearray()
-    header = b"hybridskin binary stl"
-    out += header + b"\0" * (80 - len(header))
-    out += struct.pack("<I", mesh.n_faces)
-    for i in range(mesh.n_faces):
-        out += normals[i].tobytes()
-        out += tris[i].tobytes()
-        out += b"\0\0"
-    Path(path).write_bytes(bytes(out))
+    records = np.zeros(mesh.n_faces, dtype=_STL_RECORD)
+    records["normal"] = mesh.face_normals()
+    records["corners"] = mesh.triangles()
+    with open(path, "wb") as f:
+        f.write(b"hybridskin binary stl".ljust(80, b"\0") + struct.pack("<I", mesh.n_faces))
+        records.tofile(f)
 
 
 def save_stl_per_material(mesh: TriMesh, base_path):
@@ -93,7 +92,7 @@ def save_stl_per_material(mesh: TriMesh, base_path):
         sel = mesh.face_material == int(mat)
         if not np.any(sel):
             continue
-        sub = TriMesh(mesh.vertices.copy(), mesh.faces[sel], mesh.face_material[sel])
+        sub = TriMesh(mesh.vertices, mesh.faces[sel], mesh.face_material[sel])
         path = base.with_name(base.stem + mat.suffix + ".stl")
         save_stl(sub, path)
         written[mat] = path
@@ -124,18 +123,17 @@ def load_obj(path, units="m"):
 
 def save_obj(mesh: TriMesh, path):
     """Single OBJ with faces grouped by material (usemtl per group)."""
-    lines = ["# hybridskin OBJ export"]
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+    parts = ["# hybridskin OBJ export\n",
+             "v %.9g %.9g %.9g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist())]
     for mat in Material:
         sel = mesh.face_material == int(mat)
         if not np.any(sel):
             continue
-        lines.append(f"g {mat.name.lower()}")
-        lines.append(f"usemtl {mat.name.lower()}")
-        for f in mesh.faces[sel]:
-            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        name = mat.name.lower()
+        faces = mesh.faces[sel] + 1
+        parts.append(f"g {name}\nusemtl {name}\n")
+        parts.append("f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
+    Path(path).write_text("".join(parts))
 
 
 def load_mesh(path, units="m"):

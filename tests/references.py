@@ -16,7 +16,8 @@ from hybridskin.errors import DimensionError, DomainError
 from hybridskin.analysis import PointCloud
 from hybridskin.kinematics import (REVOLUTE, Pose, _quat_normalize, mount_poses,
                                    quat_to_matrix)
-from hybridskin.mesh import TriMesh
+from hybridskin.mesh import (DEGENERATE_AREA, Finding, Material, TriMesh,
+                             ValidationReport)
 from hybridskin.raycast import Ray, TriangleSet, _intersect_rows, point_mesh_distance
 from hybridskin.sc import expected_counts
 from hybridskin.tof import ToFSpec, zone_direction_local, zone_rays
@@ -261,3 +262,229 @@ def ply_binary_body_struct(cloud: PointCloud) -> bytes:
     """The binary PLY vertex records, one struct.pack per point."""
     return b"".join(struct.pack("<fffIf", p[0], p[1], p[2], int(sid), t)
                     for p, sid, t in zip(cloud.points, cloud.sensor_ids, cloud.timestamps))
+
+
+# ---------------------------------------------------------------------------
+# Per-face, per-line and per-support forms: the bit references of generate's
+# one-shot writers, windowed support placement, templated parts and
+# vectorized winding check
+# ---------------------------------------------------------------------------
+
+def capsule_mesh(radius, length, n_seg, n_cap, n_len) -> TriMesh:
+    """Closed capsule along z, centred at the origin, outward winding.
+
+    A cylinder of the given length capped by hemispheres of n_cap rings,
+    with n_seg segments around and n_len rings along the body.
+    """
+    half = 0.5 * length
+    profile = [(half + radius * math.cos(th), radius * math.sin(th))
+               for th in (0.5 * math.pi * i / n_cap for i in range(1, n_cap + 1))]
+    profile += [(half - length * k / n_len, radius) for k in range(1, n_len + 1)]
+    profile += [(-half + radius * math.cos(th), radius * math.sin(th))
+                for th in (0.5 * math.pi * (1 + i / n_cap) for i in range(1, n_cap))]
+    verts = [[0.0, 0.0, half + radius]]
+    for z, rho in profile:
+        verts += [[rho * math.cos(2.0 * math.pi * j / n_seg),
+                   rho * math.sin(2.0 * math.pi * j / n_seg), z] for j in range(n_seg)]
+    verts.append([0.0, 0.0, -half - radius])
+    bottom = len(verts) - 1
+    ring = lambda r, j: 1 + r * n_seg + j % n_seg
+    faces = [[0, ring(0, j), ring(0, j + 1)] for j in range(n_seg)]
+    for r in range(len(profile) - 1):
+        for j in range(n_seg):
+            faces.append([ring(r, j), ring(r + 1, j), ring(r + 1, j + 1)])
+            faces.append([ring(r, j), ring(r + 1, j + 1), ring(r, j + 1)])
+    last = len(profile) - 1
+    faces += [[bottom, ring(last, j + 1), ring(last, j)] for j in range(n_seg)]
+    return TriMesh.from_arrays(verts, faces)
+
+
+def save_stl_by_face(mesh, path):
+    """Binary STL, one 50-byte record appended per face."""
+    tris = mesh.triangles().astype("<f4")
+    normals = mesh.face_normals().astype("<f4")
+    out = bytearray()
+    header = b"hybridskin binary stl"
+    out += header + b"\0" * (80 - len(header))
+    out += struct.pack("<I", mesh.n_faces)
+    for i in range(mesh.n_faces):
+        out += normals[i].tobytes()
+        out += tris[i].tobytes()
+        out += b"\0\0"
+    Path(path).write_bytes(bytes(out))
+
+
+def save_stl_per_material_by_face(mesh, base_path):
+    """One save_stl_by_face file per material, on a copy of the vertices."""
+    base = Path(base_path)
+    written = {}
+    for mat in Material:
+        sel = mesh.face_material == int(mat)
+        if not np.any(sel):
+            continue
+        sub = TriMesh(mesh.vertices.copy(), mesh.faces[sel], mesh.face_material[sel])
+        path = base.with_name(base.stem + mat.suffix + ".stl")
+        save_stl_by_face(sub, path)
+        written[mat] = path
+    return written
+
+
+def save_obj_by_line(mesh, path):
+    """OBJ with material groups, one f-string per vertex and per face."""
+    lines = ["# hybridskin OBJ export"]
+    for v in mesh.vertices:
+        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+    for mat in Material:
+        sel = mesh.face_material == int(mat)
+        if not np.any(sel):
+            continue
+        lines.append(f"g {mat.name.lower()}")
+        lines.append(f"usemtl {mat.name.lower()}")
+        for f in mesh.faces[sel]:
+            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def greedy_grid_hash(pos, blocked, spacing):
+    """Greedy dart throwing over a grid hash: the accepted indices, in order.
+
+    A conflict closer than `spacing` can only sit in the same or an
+    adjacent cell of size `spacing`.
+    """
+    spacing_sq = spacing * spacing
+    inv_cell = 1.0 / spacing
+    grid = {}
+    accepted = []
+    for c, (x, y, z) in enumerate(pos.tolist()):
+        if blocked[c]:
+            continue
+        ix = math.floor(x * inv_cell)
+        iy = math.floor(y * inv_cell)
+        iz = math.floor(z * inv_cell)
+        near = (p for cell in itertools.product((ix - 1, ix, ix + 1), (iy - 1, iy, iy + 1),
+                                                (iz - 1, iz, iz + 1))
+                for p in grid.get(cell, ()))
+        if any((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2 < spacing_sq
+               for px, py, pz in near):
+            continue
+        grid.setdefault((ix, iy, iz), []).append((x, y, z))
+        accepted.append(c)
+    return accepted
+
+
+def tangent_frame_scalar(normal):
+    """Orthonormal (t1, t2) completing one unit normal."""
+    n = np.asarray(normal, dtype=np.float64)
+    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+    t1 = np.cross(n, ref)
+    t1 = t1 / np.linalg.norm(t1)
+    t2 = np.cross(n, t1)
+    return t1, t2
+
+
+def support_cylinder(base, top, radius, segments):
+    """One closed support cylinder from base to top, tagged FLEXIBLE."""
+    axis = np.asarray(top, dtype=np.float64) - np.asarray(base, dtype=np.float64)
+    length = np.linalg.norm(axis)
+    if length <= 0.0:
+        raise ValueError("support has zero length (coincident dermis/covering points)")
+    n = axis / length
+    t1, t2 = tangent_frame_scalar(n)
+    phis = 2.0 * np.pi * np.arange(segments) / segments
+    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
+    verts = np.vstack([base + radius * circle, top + radius * circle, [base, top]])
+    bot_c, top_c = 2 * segments, 2 * segments + 1
+    faces = []
+    for j in range(segments):
+        a, b = j, (j + 1) % segments
+        c, d = segments + j, segments + (j + 1) % segments
+        faces.append([a, b, d])
+        faces.append([a, d, c])
+        faces.append([bot_c, b, a])
+        faces.append([top_c, c, d])
+    return TriMesh.from_arrays(verts, faces, Material.FLEXIBLE)
+
+
+def instance_ring_by_face(site, spec):
+    """The conductive ring of one site, one face appended at a time."""
+    n = np.asarray(site.normal)
+    t1, t2 = tangent_frame_scalar(n)
+    base = np.asarray(site.position)
+    s = spec.segments
+    phis = 2.0 * np.pi * np.arange(s) / s
+    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
+    verts = np.vstack([base + spec.inner_radius * circle,
+                       base + spec.outer_radius * circle,
+                       base + spec.inner_radius * circle + spec.height * n,
+                       base + spec.outer_radius * circle + spec.height * n])
+    IB, OB, IT, OT = 0, s, 2 * s, 3 * s
+    faces = []
+    for j in range(s):
+        k = (j + 1) % s
+        faces += [[IB + j, OB + k, OB + j], [IB + j, IB + k, OB + k],
+                  [IT + j, OT + j, OT + k], [IT + j, OT + k, IT + k],
+                  [OB + j, OB + k, OT + k], [OB + j, OT + k, OT + j],
+                  [IB + j, IT + k, IB + k], [IB + j, IT + j, IT + k]]
+    return TriMesh.from_arrays(verts, faces, Material.CONDUCTIVE)
+
+
+def instance_mount_by_face(site, spec):
+    """The structural mount of one site, one face appended at a time."""
+    n = np.asarray(site.normal)
+    t1, t2 = tangent_frame_scalar(n)
+    base = np.asarray(site.position)
+    s = 32
+    phis = 2.0 * np.pi * np.arange(s) / s
+    circle = np.outer(np.cos(phis), t1) + np.outer(np.sin(phis), t2)
+    verts = np.vstack([base + spec.footprint_radius * circle,
+                       base + spec.footprint_radius * circle + spec.height * n,
+                       [base, base + spec.height * n]])
+    faces = []
+    for j in range(s):
+        k = (j + 1) % s
+        faces += [[j, k, s + k], [j, s + k, s + j], [2 * s, k, j], [2 * s + 1, s + j, s + k]]
+    return TriMesh.from_arrays(verts, faces, Material.STRUCTURAL)
+
+
+def validate_mesh_dict(mesh):
+    """validate_mesh with the winding check as a dict of directed-edge signs."""
+    findings = []
+    bad = np.where((mesh.faces < 0) | (mesh.faces >= mesh.n_vertices))[0]
+    if bad.size:
+        findings.append(Finding(
+            "invalid-index", "error",
+            f"{bad.size} face(s) reference out-of-range vertex indices",
+            sorted(set(bad.tolist()))))
+        return ValidationReport(findings, 0, False, False)
+    degen = np.where(mesh.face_areas() <= DEGENERATE_AREA)[0]
+    if degen.size:
+        findings.append(Finding(
+            "degenerate-face", "error",
+            f"{degen.size} face(s) have area <= {DEGENERATE_AREA} m^2", degen.tolist()))
+    keys = {}
+    for a, b in mesh.edges():
+        a, b = int(a), int(b)
+        keys.setdefault((a, b) if a < b else (b, a), []).append(1 if a < b else -1)
+    boundary = 0
+    conflict_edges = []
+    for key, signs in keys.items():
+        if len(signs) == 1:
+            boundary += 1
+        elif len(signs) == 2:
+            if signs[0] == signs[1]:
+                conflict_edges.append(key)
+        else:
+            findings.append(Finding(
+                "non-manifold-edge", "warning",
+                f"edge {key} shared by {len(signs)} faces", [list(key)]))
+    if conflict_edges:
+        findings.append(Finding(
+            "inconsistent-winding", "error",
+            f"{len(conflict_edges)} edge(s) traversed twice in the same direction",
+            [list(k) for k in conflict_edges[:16]]))
+    unreferenced = np.setdiff1d(np.arange(mesh.n_vertices), mesh.faces.reshape(-1))
+    if unreferenced.size:
+        findings.append(Finding(
+            "unreferenced-vertex", "warning",
+            f"{unreferenced.size} vertex(es) not used by any face", unreferenced.tolist()))
+    return ValidationReport(findings, boundary, boundary == 0, not conflict_edges)

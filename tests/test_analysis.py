@@ -502,6 +502,29 @@ def test_ply_binary_rejects_values_outside_its_types(tmp_path, sensor_id, point,
         save_ply(cloud, tmp_path / "cloud.ply", binary=True)
 
 
+@pytest.mark.parametrize("sensor_id,point,t", [
+    (-1, 0.0, 0.0),
+    (2 ** 32, 0.0, 0.0),
+    (0, 1e39, 0.0),
+    (0, -1e300, 0.0),
+    (0, 0.0, 1e39),
+])
+def test_ply_ascii_rejects_the_values_binary_rejects(tmp_path, sensor_id, point, t):
+    # An ASCII PLY declares the same uint/float properties as a binary one.
+    cloud = PointCloud([[0.0, point, 0.0]], [sensor_id], [t])
+    with pytest.raises(ValueError, match="PLY"):
+        save_ply(cloud, tmp_path / "cloud.ply", binary=False)
+    assert not (tmp_path / "cloud.ply").exists()
+
+
+def test_ply_ascii_body_is_one_formatted_line_per_point(tmp_path):
+    cloud = sample_cloud()
+    save_ply(cloud, tmp_path / "cloud.ply", binary=False)
+    body = "".join(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {int(sid)} {t:.9g}\n"
+                   for p, sid, t in zip(cloud.points, cloud.sensor_ids, cloud.timestamps))
+    assert (tmp_path / "cloud.ply").read_text().endswith("end_header\n" + body)
+
+
 def test_ply_ascii_round_trip(tmp_path):
     cloud = sample_cloud()
     path = tmp_path / "cloud_ascii.ply"

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridskin import cli
+from hybridskin import cli, meshio
 from hybridskin.cli import main
 from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.logs import read_log
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from references import conductive_distance_scalar
+from references import (capsule_mesh, conductive_distance_scalar, save_obj_by_line,
+                        save_stl_per_material_by_face)
 
 
 def write_json(path, payload):
@@ -101,6 +102,32 @@ def test_generate_link_scale_manifest_lists_40_sites(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["sites"]) == 40
+
+
+def test_generate_writes_what_the_per_face_and_per_line_writers_write(tmp_path, monkeypatch):
+    link = capsule_mesh(45.0, 220.0, 48, 8, 16)  # millimetres, as a CAD export
+    meshio.save_stl(link, tmp_path / "link.stl")
+    cfg = generate_config(tmp_path, mesh=str(tmp_path / "link.stl"), mesh_units="mm",
+                          site_count=40, site_min_dist=0.03)
+    merged = []
+    save_obj = meshio.save_obj
+
+    def keep_the_merged_mesh(mesh, path):
+        merged.append(mesh)
+        save_obj(mesh, path)
+
+    monkeypatch.setattr(meshio, "save_obj", keep_the_merged_mesh)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(json.loads((out / "manifest.json").read_text())["sites"]) == 40
+    ref.mkdir()
+    save_stl_per_material_by_face(merged[0], ref / "skin.stl")
+    save_obj_by_line(merged[0], ref / "skin.obj")
+    names = sorted(p.name for p in ref.iterdir())
+    assert names == ["skin.obj", "skin_conductive.stl", "skin_flexible.stl",
+                     "skin_structural.stl"]
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_generate_saturation_exits_2(tmp_path, capsys):
@@ -375,6 +402,19 @@ def test_reconstruct_reports_a_sensor_id_the_ply_cannot_hold(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "ValueError"
     assert "sensor_id 4294967296" in error["message"]
+
+
+def test_reconstruct_ascii_reports_a_sensor_id_the_ply_cannot_hold(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path, duration=0.5, site_ids=(-1,))
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--log", str(sim_out / "samples.jsonl"),
+                 "--out", str(tmp_path / "rec"), "--format", "ascii"]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert "sensor_id -1" in error["message"]
+    assert not (tmp_path / "rec" / "cloud.ply").exists()
 
 
 def test_simulate_and_reconstruct_pose_each_batch_in_one_forward_pass(tmp_path, monkeypatch):

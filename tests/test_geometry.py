@@ -6,9 +6,11 @@ from hybridskin.errors import PlacementError, SelfIntersectionError
 from hybridskin.geometry import (Footprint, OffsetSpec, extrude_covering,
                                  generate_supports, offset_surface,
                                  self_intersections)
+from hybridskin.layout import sample_sites
 from hybridskin.mesh import (Material, TriMesh, make_cylinder, make_plane_patch,
                              make_uv_sphere, validate_mesh)
-from references import sphere_tessellation_for_chord_error
+from references import (capsule_mesh, greedy_grid_hash, sphere_tessellation_for_chord_error,
+                        support_cylinder, tangent_frame_scalar)
 
 
 def v_crease_patch(alpha_deg=15.0, wing=0.05, width=0.05):
@@ -374,3 +376,79 @@ def test_mismatched_covering_rejected():
     other = make_plane_patch(0.1, 0.1, 5, 5)
     with pytest.raises(ValueError):
         generate_supports(dermis, other, [], spacing=0.02, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Windowed placement and batched cylinders against their per-support forms
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def capsule_skin():
+    """Dermis, covering and 40 ring keep-outs on a dense capsule link (seed 7)."""
+    link = capsule_mesh(0.045, 0.22, 48, 8, 16)
+    dermis = offset_surface(link, OffsetSpec(0.004))
+    covering = extrude_covering(dermis, OffsetSpec(0.006))
+    keepouts = [Footprint(center=s.position, normal=s.normal, radius=0.014)
+                for s in sample_sites(dermis, 40, 0.03, seed=7)]
+    return dermis, covering, keepouts
+
+
+def assert_same_bits(a: TriMesh, b: TriMesh):
+    for name in ("vertices", "faces", "face_material"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("spacing,with_keepouts,placed", [
+    (0.02, True, None),
+    (0.005, True, None),
+    (0.02, False, None),
+    (1e-7, False, geometry.SUPPORT_CANDIDATES),  # every candidate accepted
+    (1.0, False, 1),                              # wider than the link: one
+])
+def test_support_placement_equals_the_grid_hash_reference(capsule_skin, spacing,
+                                                          with_keepouts, placed):
+    dermis, covering, keepouts = capsule_skin
+    pos, top, blocked = geometry._support_candidates(
+        dermis, covering, keepouts if with_keepouts else [], 0.002, seed=7)
+    expected = greedy_grid_hash(pos, blocked, spacing)
+    assert geometry._greedy_place(pos, blocked, spacing).tolist() == expected
+    if placed is not None:
+        assert len(expected) == placed
+
+
+@pytest.mark.parametrize("segments", [3, 12, 17])
+def test_supports_equal_the_per_support_reference_bit_for_bit(capsule_skin, segments):
+    dermis, covering, keepouts = capsule_skin
+    supports = generate_supports(dermis, covering, keepouts, spacing=0.02, seed=7,
+                                 radius=0.002, segments=segments)
+    pos, top, blocked = geometry._support_candidates(dermis, covering, keepouts, 0.002, 7)
+    expected = [support_cylinder(pos[c], top[c], 0.002, segments)
+                for c in greedy_grid_hash(pos, blocked, 0.02)]
+    assert len(supports) == len(expected) > 50
+    for got, want in zip(supports, expected):
+        assert_same_bits(got, want)
+
+
+def test_keepouts_that_block_every_candidate_raise_placement_error(capsule_skin):
+    dermis, covering, _ = capsule_skin
+    blanket = [Footprint(center=(0.0, 0.0, 0.0), normal=(0, 0, 1), radius=1.0)]
+    pos, _, blocked = geometry._support_candidates(dermis, covering, blanket, 0.002, 7)
+    assert blocked.all() and greedy_grid_hash(pos, blocked, 0.02) == []
+    with pytest.raises(PlacementError, match=r"^no support placement possible with "
+                                             r"1 keepout\(s\) and spacing 0\.02$"):
+        generate_supports(dermis, covering, blanket, spacing=0.02, seed=7)
+
+
+def test_batched_tangent_frame_equals_the_one_normal_form():
+    rng = np.random.default_rng(5)
+    n = rng.normal(size=(2000, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n[:6] = [[1, 0, 0], [0, 1, 0], [0, 0, -1], [0.9, np.sqrt(0.19), 0],
+             [-0.9, 0, np.sqrt(0.19)], [np.nextafter(0.9, 1), np.sqrt(0.19), 0]]
+    t1, t2 = geometry.tangent_frame(n)
+    for k in range(len(n)):
+        e1, e2 = tangent_frame_scalar(n[k])
+        assert t1[k].tobytes() == e1.tobytes() and t2[k].tobytes() == e2.tobytes(), k
+        one1, one2 = geometry.tangent_frame(n[k])
+        assert one1.tobytes() == e1.tobytes() and one2.tobytes() == e2.tobytes(), k

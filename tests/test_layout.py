@@ -12,6 +12,7 @@ from hybridskin.layout import (MountSpec, RingSpec, SurfaceSite, compose_skin,
                                sample_sites, write_manifest)
 from hybridskin.mesh import (Material, make_cylinder, make_plane_patch,
                              sample_surface, validate_mesh)
+from references import capsule_mesh, instance_mount_by_face, instance_ring_by_face
 
 
 def flat_site(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), site_id=0):
@@ -284,3 +285,19 @@ def test_manifest_round_trip(tmp_path):
     for entry, site in zip(loaded["sites"], assembly.sites):
         assert entry["site_id"] == site.site_id
         assert np.allclose(entry["position"], site.position)
+
+
+@pytest.mark.parametrize("segments", [8, 13, 64])
+def test_parts_equal_the_per_face_reference_bit_for_bit(segments):
+    dermis = offset_surface(capsule_mesh(0.045, 0.22, 48, 8, 16), OffsetSpec(0.004))
+    sites = sample_sites(dermis, 40, 0.03, seed=7) + [flat_site(normal=(-1.0, 0.0, 0.0))]
+    ring_spec = RingSpec(segments=segments)
+    mount_spec = MountSpec(footprint_radius=0.006, height=0.003)
+    for site in sites:
+        for got, want in ((instance_ring(site, ring_spec), instance_ring_by_face(site, ring_spec)),
+                          (instance_mount(site, mount_spec),
+                           instance_mount_by_face(site, mount_spec))):
+            for name in ("vertices", "faces", "face_material"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), (site.site_id, name)

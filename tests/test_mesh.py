@@ -4,7 +4,7 @@ import pytest
 from hybridskin.mesh import (Material, TriMesh, concat_meshes, make_box,
                              make_cylinder, make_plane_patch, make_uv_sphere,
                              sample_surface, validate_mesh)
-from references import sphere_tessellation_for_chord_error
+from references import capsule_mesh, sphere_tessellation_for_chord_error, validate_mesh_dict
 
 
 def signed_volume(mesh):
@@ -122,3 +122,67 @@ def test_sample_surface_points_lie_on_faces():
     tri = mesh.vertices[mesh.faces[face_idx]]
     recon = np.einsum("ij,ijk->ik", bary, tri)
     assert np.allclose(recon, pos, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The vectorized winding check against the per-edge dict form
+# ---------------------------------------------------------------------------
+
+def with_faces(mesh, faces):
+    return TriMesh(mesh.vertices, faces, np.zeros(len(faces), dtype=np.int8))
+
+
+def flipped(mesh, rows):
+    faces = mesh.faces.copy()
+    faces[rows] = faces[rows][:, ::-1]
+    return with_faces(mesh, faces)
+
+
+def random_soup(seed, n_vertices=12, n_faces=60):
+    rng = np.random.default_rng(seed)
+    return TriMesh.from_arrays(rng.normal(size=(n_vertices, 3)),
+                               rng.integers(0, n_vertices, size=(n_faces, 3)))
+
+
+def case_meshes():
+    box = make_box()
+    fan = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # edge (0, 1) in 3 faces
+    fin = TriMesh.from_arrays([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], fan)
+    sphere = make_uv_sphere(1.0, 8, 16)
+    capsule = capsule_mesh(0.045, 0.22, 48, 8, 16)
+    return {
+        "flipped-face": flipped(box, [0]),
+        "non-manifold-edge": fin,
+        "open-patch": make_plane_patch(1.0, 1.0, 4, 3),
+        "over-16-conflicts": flipped(sphere, np.arange(0, sphere.n_faces, 3)),
+        "capsule": capsule,
+        "capsule-flipped": flipped(capsule, np.arange(5, capsule.n_faces, 7)),
+        "box-plus-patch": concat_meshes([box, make_plane_patch(1.0, 1.0, 2, 2)]),
+        "soup-0": random_soup(0),
+        "soup-1": random_soup(1, n_vertices=5, n_faces=40),
+        "empty": TriMesh(np.zeros((3, 3)), np.zeros((0, 3)), np.zeros(0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(case_meshes()))
+def test_validate_mesh_findings_equal_the_dict_reference(name):
+    mesh = case_meshes()[name]
+    assert validate_mesh(mesh) == validate_mesh_dict(mesh)
+
+
+def test_winding_findings_keep_their_codes_order_and_cap():
+    cases = case_meshes()
+    report = validate_mesh(cases["non-manifold-edge"])
+    assert [f.code for f in report.findings] == ["non-manifold-edge"]
+    assert report.findings[0].message == "edge (0, 1) shared by 3 faces"
+    assert report.findings[0].indices == [[0, 1]]
+    assert report.boundary_edges == 6
+
+    report = validate_mesh(cases["over-16-conflicts"])
+    winding = [f for f in report.findings if f.code == "inconsistent-winding"]
+    count = int(winding[0].message.split()[0])
+    assert count > 16 and len(winding[0].indices) == 16
+    assert not report.winding_consistent
+
+    report = validate_mesh(cases["open-patch"])
+    assert report.is_valid and report.boundary_edges == 2 * (4 + 3)

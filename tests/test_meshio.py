@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from hybridskin.mesh import Material, concat_meshes, make_box, validate_mesh
+from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
+
+from hybridskin.mesh import Material, TriMesh, concat_meshes, make_box, validate_mesh
 from hybridskin.meshio import (load_mesh, load_obj, load_stl, save_obj,
                                save_stl, save_stl_per_material)
-from references import save_stl_ascii
+from references import (capsule_mesh, save_obj_by_line, save_stl_ascii, save_stl_by_face,
+                        save_stl_per_material_by_face)
 
 
 def sorted_verts(mesh):
@@ -109,3 +112,51 @@ def test_truncated_binary_stl_raises(tmp_path):
     path.write_bytes(path.read_bytes()[:100])
     with pytest.raises(ValueError, match="truncated"):
         load_stl(path)
+
+
+def random_tagged_mesh(seed, n_vertices=300, n_faces=900, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return TriMesh(rng.normal(size=(n_vertices, 3)) * scale,
+                   rng.integers(0, n_vertices, size=(n_faces, 3)),
+                   rng.integers(0, 3, size=n_faces))
+
+
+def skin_like_mesh():
+    """A dense capsule link with its dermis and covering, three materials."""
+    link = capsule_mesh(0.045, 0.22, 48, 8, 16)
+    dermis = offset_surface(link, OffsetSpec(0.004))
+    covering = extrude_covering(dermis, OffsetSpec(0.006))
+    tagged = TriMesh(link.vertices, link.faces,
+                     np.full(link.n_faces, int(Material.CONDUCTIVE)))
+    return concat_meshes([tagged, dermis, covering])
+
+
+@pytest.mark.parametrize("mesh", [
+    skin_like_mesh(), random_tagged_mesh(0), random_tagged_mesh(1, scale=1e-3),
+    random_tagged_mesh(2, n_faces=1), make_box()], ids=["skin", "r0", "r1", "one", "box"])
+def test_stl_writers_equal_the_per_face_reference_byte_for_byte(tmp_path, mesh):
+    save_stl(mesh, tmp_path / "all.stl")
+    save_stl_by_face(mesh, tmp_path / "all_ref.stl")
+    assert (tmp_path / "all.stl").read_bytes() == (tmp_path / "all_ref.stl").read_bytes()
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    written = save_stl_per_material(mesh, tmp_path / "new" / "skin.stl")
+    expected = save_stl_per_material_by_face(mesh, tmp_path / "ref" / "skin.stl")
+    assert {m: p.name for m, p in written.items()} == {m: p.name for m, p in expected.items()}
+    for mat, path in written.items():
+        assert path.read_bytes() == expected[mat].read_bytes(), mat
+
+
+def test_obj_writer_equals_the_per_line_reference_byte_for_byte(tmp_path):
+    mesh = random_tagged_mesh(3)
+    rng = np.random.default_rng(4)
+    mesh.vertices *= 10.0 ** rng.uniform(-300, 300, size=mesh.vertices.shape)
+    special = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300,      # signed zero, extremes
+               5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,  # subnormals
+               1.0 + 2.0 ** -52, 123456789.0]
+    mesh.vertices[:4] = np.reshape(special, (4, 3))
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    for m in (mesh, skin_like_mesh(), make_box(), empty):
+        save_obj(m, tmp_path / "new.obj")
+        save_obj_by_line(m, tmp_path / "ref.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
