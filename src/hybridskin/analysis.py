@@ -281,11 +281,20 @@ class ActivityLabel:
                 raise ValueError("intervals overlap or are out of order")
             prev_end = t1
 
-    def state_at(self, t):
-        for t0, t1, state in self.intervals:
-            if t0 <= t < t1:
-                return state
-        return None
+    def states_at(self, times):
+        """The state at each time, None outside every interval: an object array.
+
+        Intervals are half-open [t0, t1). They are sorted and disjoint, so
+        one searchsorted over their starts finds the only one that can hold
+        a time; a trailing sentinel turns "before every start" into a miss.
+        """
+        t = np.asarray(times, dtype=np.float64)
+        starts = np.array([t0 for t0, _, _ in self.intervals], dtype=np.float64)
+        ends = np.array([t1 for _, t1, _ in self.intervals] + [-np.inf])
+        names = np.array([state for _, _, state in self.intervals] + [None], dtype=object)
+        k = np.searchsorted(starts, t, side="right") - 1
+        k[~(t < ends[k])] = -1
+        return names[k]
 
 
 @dataclass
@@ -308,18 +317,17 @@ def _one_sided_z(hi, lo):
     return float((hi.mean() - lo.mean()) / denom)
 
 
-def pressure_series(samples, labels: ActivityLabel) -> PressureReport:
+def pressure_series(counts, states, site_id: int = -1) -> PressureReport:
     """Check counts(SQUEEZE) > counts(REST) > counts(INACTIVE) at 99 % confidence.
 
-    States with no labeled samples make the ordering not-applicable rather
-    than failing; present states need at least two samples each.
+    states[k] is the state of counts[k] (ActivityLabel.states_at), None
+    where unlabeled. States with no labeled samples make the ordering
+    not-applicable rather than failing; present states need at least two
+    samples each.
     """
-    buckets = {state: [] for state in ACTIVITY_STATES}
-    for s in samples:
-        state = labels.state_at(s.timestamp)
-        if state is not None:
-            buckets[state].append(s.counts)
-    present = {k: np.asarray(v, dtype=np.float64) for k, v in buckets.items() if v}
+    counts = np.asarray(counts, dtype=np.float64)
+    present = {state: counts[states == state] for state in ACTIVITY_STATES}
+    present = {k: v for k, v in present.items() if v.size}
     for state, vals in present.items():
         if len(vals) < 2:
             raise InsufficientSamplesError(
@@ -335,7 +343,7 @@ def pressure_series(samples, labels: ActivityLabel) -> PressureReport:
             rest_above_inactive = _one_sided_z(present[ACTIVE_REST],
                                                present[INACTIVE]) > Z_99
     return PressureReport(
-        site_id=labels.site_id,
+        site_id=site_id,
         means={k: float(v.mean()) for k, v in present.items()},
         counts={k: int(len(v)) for k, v in present.items()},
         squeeze_above_rest=squeeze_above_rest,

@@ -29,6 +29,8 @@ EXIT_NUMERICAL = 4
 
 # (sample, triangle) rows of one block of the SC stream's distance pass.
 _DISTANCE_ROWS = 1 << 14
+# Zone rays of one block of whole frame times in the ToF stream's cast.
+_TOF_RAYS = 1 << 14
 
 
 def _mesh_from_spec(spec, units="m"):
@@ -174,19 +176,13 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
                     for t, n in zip(stream.tolist(), counts.tolist())]
 
     # ToF frames are strictly periodic and shared by every mount. One forward
-    # pass poses every mount at every frame time; each frame time builds the
-    # scene BVH once and casts all mounts' zone rays as one packet. The BVH
-    # is dropped with the call.
+    # pass poses every mount at every frame time.
     tof_rngs = [np.random.default_rng([cfg["seed"], 2, stream_idx])
                 for stream_idx in range(len(mounts))]
-    sensor_ids = [m.site_id for m in mounts]
     frame_times = tof.frame_times(duration, tof_spec)
     frame_poses = mount_poses(chain, trajectory.value_at(frame_times)[:, None, :], mounts)
-    for j, t in enumerate(frame_times.tolist()):
-        frames = tof.capture_frames(
-            sensor_ids, frame_poses[j],
-            Bvh(TriangleSet.from_meshes([m for m, _ in scene.at(t)])), t, tof_spec, tof_rngs)
-        records.extend(logs.tof_record(f) for f in frames)
+    records.extend(logs.tof_record(f) for f in _tof_frames(
+        scene, [m.site_id for m in mounts], frame_times, frame_poses, tof_spec, tof_rngs))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     logs.write_log(out_dir / "samples.jsonl", logs.merge_records(records))
@@ -196,6 +192,38 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     print(f"simulated {duration} s over {len(mounts)} nodule(s): "
           f"{n_sc} sc record(s), {n_tof} tof frame(s)")
     return EXIT_OK
+
+
+def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs):
+    """Every sensor's frame at every time, time-major; poses is (times, sensors).
+
+    The scene is cast in two levels. One Bvh over the static objects serves
+    the whole run, and each block of whole frame times, at most _TOF_RAYS
+    zone rays, goes through it as one packet. Each frame time then casts its
+    rays through a Bvh of only its posed movers, and a ray keeps the smaller
+    distance. A frame takes only the distance and whether anything was hit,
+    and a (ray, triangle) pair gives the same t in either Bvh, so the frames
+    are those of one Bvh over the whole posed scene at each time. No Bvh
+    outlives the call.
+    """
+    static = Bvh(TriangleSet.from_meshes([obj.mesh for obj in scene.objects
+                                          if not obj.keyframes]))
+    moving = [bool(obj.keyframes) for obj in scene.objects]
+    per_time = len(sensor_ids) * spec.nx * spec.ny
+    step = max(1, _TOF_RAYS // per_time)
+    for start in range(0, len(times), step):
+        block = times[start:start + step].tolist()
+        origins, directions = tof.zone_rays(poses[start:start + step], spec)
+        dist, idx = static.raycast_many(origins, directions, spec.max_range)
+        hit = idx >= 0
+        for j, t in enumerate(block):
+            movers = [m for (m, _), move in zip(scene.at(t), moving) if move]
+            rows = slice(j * per_time, (j + 1) * per_time)
+            t_mov, idx_mov = Bvh(TriangleSet.from_meshes(movers)).raycast_many(
+                origins[rows], directions[rows], spec.max_range)
+            dist[rows] = np.minimum(dist[rows], t_mov)
+            hit[rows] |= idx_mov >= 0
+        yield from tof.capture_frames(sensor_ids, block, dist, hit, spec, rngs)
 
 
 def _conductive_distances(scene: Scene, times, points):
@@ -277,21 +305,21 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
     omitted = sorted(set(by_site) - set(labels))
     pressure_lines = []
     for site_id in sorted(set(by_site) & set(labels)):
+        # One labelling pass per site serves both the SNR split and the
+        # pressure buckets.
         site_samples = by_site[site_id]
-        label = labels[site_id]
-        states = [label.state_at(s.timestamp) for s in site_samples]
-        inactive = [s.counts for s, state in zip(site_samples, states)
-                    if state == analysis.INACTIVE]
-        active = [s.counts for s, state in zip(site_samples, states)
-                  if state in (analysis.ACTIVE_REST, analysis.ACTIVE_SQUEEZE)]
-        report = analysis.snr(inactive, active, threshold, site_id=site_id)
+        counts = np.array([s.counts for s in site_samples])
+        states = labels[site_id].states_at([s.timestamp for s in site_samples])
+        rest, squeeze = states == analysis.ACTIVE_REST, states == analysis.ACTIVE_SQUEEZE
+        report = analysis.snr(counts[states == analysis.INACTIVE], counts[rest | squeeze],
+                              threshold, site_id=site_id)
         rows.append(f"site{site_id},{site_id},{report.mu_n:.6f},"
                     f"{report.sigma_n:.6f},{report.mu:.6f},{report.snr:.6f},"
                     f"{str(report.contact).lower()}")
         summary.append(f"site {site_id}: snr={report.snr:.2f} "
                        f"contact={str(report.contact).lower()}")
-        if analysis.ACTIVE_SQUEEZE in states and analysis.ACTIVE_REST in states:
-            p = analysis.pressure_series(site_samples, label)
+        if squeeze.any() and rest.any():
+            p = analysis.pressure_series(counts, states, site_id)
             pressure_lines.append(
                 f"site {site_id}: squeeze>rest={str(p.squeeze_above_rest).lower()} "
                 f"rest>inactive={str(p.rest_above_inactive).lower()}")

@@ -21,6 +21,7 @@ from .mesh import Material, TriMesh, sample_surface
 BARY_TOL = 1e-9
 DEFAULT_COUPLING_GAP = 0.001  # m, radial clearance between mount and ring
 _CLEAR_ROWS = 1 << 16  # (point, site) rows per distance test in sample_sites
+MOUNT_SEGMENTS = 32  # sides of a mount's cylinder
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,16 @@ def sample_sites(dermis: TriMesh, count: int, min_dist: float, seed: int,
     return sites
 
 
-def instance_ring(site: SurfaceSite, spec: RingSpec) -> TriMesh:
+def instance_ring(site: SurfaceSite, spec: RingSpec, circle) -> TriMesh:
     """Open-center annular prism on the site's tangent plane, CONDUCTIVE.
 
-    The annulus sits on the surface (base at the site, extruded along the
-    site normal). 4 x segments vertices, 8 x segments faces, closed.
+    circle holds spec.segments unit vectors on the site's tangent plane
+    (geometry.unit_circle). The annulus sits on the surface (base at the
+    site, extruded along the site normal). 4 x segments vertices,
+    8 x segments faces, closed.
     """
     n = np.asarray(site.normal)
     base = np.asarray(site.position)
-    circle = unit_circle(spec.segments, *tangent_frame(n))
     rings = [base + spec.inner_radius * circle,
              base + spec.outer_radius * circle,
              base + spec.inner_radius * circle + spec.height * n,
@@ -182,18 +184,19 @@ def instance_ring(site: SurfaceSite, spec: RingSpec) -> TriMesh:
     return TriMesh.from_arrays(np.vstack(rings), faces, Material.CONDUCTIVE)
 
 
-def instance_mount(site: SurfaceSite, spec: MountSpec) -> TriMesh:
-    """Solid cylindrical mount body on the site, STRUCTURAL."""
+def instance_mount(site: SurfaceSite, spec: MountSpec, circle) -> TriMesh:
+    """Solid cylindrical mount body on the site, STRUCTURAL.
+
+    circle holds MOUNT_SEGMENTS unit vectors on the site's tangent plane.
+    """
     n = np.asarray(site.normal)
     base = np.asarray(site.position)
-    s = 32
-    circle = unit_circle(s, *tangent_frame(n))
     verts = np.vstack([
         base + spec.footprint_radius * circle,
         base + spec.footprint_radius * circle + spec.height * n,
         [base, base + spec.height * n],
     ])
-    return TriMesh.from_arrays(verts, cylinder_faces(s), Material.STRUCTURAL)
+    return TriMesh.from_arrays(verts, cylinder_faces(len(circle)), Material.STRUCTURAL)
 
 
 def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
@@ -215,15 +218,15 @@ def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
             f"{mount_spec.footprint_radius} leaves {gap:.4g} m, "
             f"below the coupling gap {coupling_gap}")
 
-    rings = []
-    mounts = []
-    keepouts = []
+    # One tangent frame per site, batched, serves its ring and its mount.
+    frame = tangent_frame(np.array([site.normal for site in sites]).reshape(-1, 3))
+    rings = [(site.site_id, instance_ring(site, ring_spec, circle))
+             for site, circle in zip(sites, unit_circle(ring_spec.segments, *frame))]
+    mounts = [(site.site_id, instance_mount(site, mount_spec, circle))
+              for site, circle in zip(sites, unit_circle(MOUNT_SEGMENTS, *frame))]
     keepout_radius = max(mount_spec.footprint_radius, ring_spec.outer_radius)
-    for site in sites:
-        rings.append((site.site_id, instance_ring(site, ring_spec)))
-        mounts.append((site.site_id, instance_mount(site, mount_spec)))
-        keepouts.append(Footprint(center=site.position, normal=site.normal,
-                                  radius=keepout_radius))
+    keepouts = [Footprint(center=site.position, normal=site.normal, radius=keepout_radius)
+                for site in sites]
 
     supports = generate_supports(dermis, covering, keepouts,
                                  spacing=support_spacing, seed=seed,

@@ -7,8 +7,12 @@ One chronologically merged file holds both record types:
 
 ToF zone order is row-major (index = i * ny + j); NO_TARGET encodes as
 null. Ties in the merge order resolve sc-before-tof, then by id.
+
+read_log keeps one record per line, so record k is line k + 1. The
+decoders raise ValueError naming the first malformed line.
 """
 
+import functools
 import json
 import math
 
@@ -58,20 +62,55 @@ def write_log(path, records):
 
 
 def read_log(path) -> list:
+    """One record per line; a blank line reads as an empty record, which
+    neither stream takes."""
     records = []
     with open(path) as f:
         for line in f:
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            records.append(json.loads(line) if line else {})
     return records
 
 
+# What a decoder raises on a record that is not an object or lacks a field
+# or a value of the field's type.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _names_bad_lines(decode):
+    """decode, raising a ValueError that names the first line it rejects.
+
+    Each record is tried alone only after the whole list has failed, so a
+    good log pays nothing for the diagnosis.
+    """
+    @functools.wraps(decode)
+    def decoded(records, *args, **kwargs):
+        try:
+            return decode(records, *args, **kwargs)
+        except _MALFORMED as exc:
+            error = exc
+        for line, record in enumerate(records, 1):
+            try:
+                decode([record], *args, **kwargs)
+            except _MALFORMED as exc:
+                if not isinstance(record, dict):
+                    reason = "not a JSON object"
+                elif isinstance(exc, KeyError):
+                    reason = f"no {exc.args[0]!r} field"
+                else:
+                    reason = str(exc)
+                raise ValueError(f"log line {line}: {reason}") from None
+        raise error
+    return decoded
+
+
+@_names_bad_lines
 def sc_samples_from_records(records) -> list:
-    return [ScSample(site_id=r["site_id"], timestamp=r["t"], counts=r["counts"])
+    return [ScSample(site_id=r["site_id"], timestamp=float(r["t"]), counts=r["counts"])
             for r in records if r.get("type") == "sc"]
 
 
+@_names_bad_lines
 def tof_frames_from_records(records, nx=8, ny=8) -> list:
     frames = []
     for r in records:
@@ -81,7 +120,7 @@ def tof_frames_from_records(records, nx=8, ny=8) -> list:
         v = np.array([bool(x) for x in r["valid"]])
         if d.size != nx * ny:
             raise ValueError(f"tof record has {d.size} zones, expected {nx * ny}")
-        frames.append(ToFFrame(sensor_id=r["sensor_id"], timestamp=r["t"],
+        frames.append(ToFFrame(sensor_id=r["sensor_id"], timestamp=float(r["t"]),
                                distances=d.reshape(nx, ny),
                                valid=v.reshape(nx, ny)))
     return frames

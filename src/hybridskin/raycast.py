@@ -6,6 +6,10 @@ computes the same bits whichever batch it comes from, and the accelerated
 result is bit-identical to testing every triangle. Ties on distance
 resolve to the lowest triangle index. Triangles are double-sided (no
 backface culling): a depth sensor sees whatever surface crosses its ray.
+A scene split over several Bvhs therefore gives, as the smaller of the
+per-Bvh distances, the bits one Bvh over the whole scene gives: simulate
+keeps the static objects in one Bvh per run and builds one over the
+posed movers at each frame time.
 
 Bvh.raycast_many casts a packet of rays breadth-first: each level runs a
 vectorized slab test over all live (ray, node) pairs, expands the pairs
@@ -42,12 +46,27 @@ class Ray:
         object.__setattr__(self, "direction", tuple(float(c) for c in d))
 
 
+def _cross(a, b):
+    """Row-wise a x b of (n, 3) rows, either broadcasting from (1, 3).
+
+    The products and differences of np.cross, in its order, so the bits
+    are its bits, without the dtype copies it makes of both inputs.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[:, 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[:, 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[:, 2])
+    return out
+
+
 def _intersect_rows(origin, direction, v0, e1, e2):
     """Distance along ray row k to triangle row k; +inf where missed.
 
     origin and direction broadcast against the (n, 3) triangle arrays.
     """
-    p = np.cross(direction, e2)
+    p = _cross(direction, e2)
     det = np.einsum("ij,ij->i", e1, p)
     t = np.full(det.shape, np.inf)
     ok = np.abs(det) > _DET_EPS
@@ -57,7 +76,7 @@ def _intersect_rows(origin, direction, v0, e1, e2):
     inv[ok] = 1.0 / det[ok]
     s = origin - v0
     u = np.einsum("ij,ij->i", s, p) * inv
-    q = np.cross(s, e1)
+    q = _cross(s, e1)
     v = np.einsum("ij,ij->i", q, np.broadcast_to(direction, q.shape)) * inv
     tt = np.einsum("ij,ij->i", e2, q) * inv
     hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (tt > 0.0)
@@ -202,11 +221,15 @@ class Bvh:
                 # 0 * inf produces NaN for rays starting exactly on a slab
                 # plane; fmax/fmin treat that axis as non-constraining, which
                 # only ever widens the slab interval (conservative).
+                o_r, inv_r = o[r], inv_d[r]
                 with np.errstate(invalid="ignore"):
-                    t1 = (self.node_lo[k] - o[r]) * inv_d[r]
-                    t2 = (self.node_hi[k] - o[r]) * inv_d[r]
-                tmin = np.fmax.reduce(np.minimum(t1, t2), axis=1)
-                tmax = np.fmin.reduce(np.maximum(t1, t2), axis=1)
+                    t1 = (self.node_lo[k] - o_r) * inv_r
+                    t2 = (self.node_hi[k] - o_r) * inv_r
+                # Column by column: a reduce over a length-3 axis costs
+                # an order of magnitude more.
+                near, far = np.minimum(t1, t2), np.maximum(t1, t2)
+                tmin = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+                tmax = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
                 culled = (tmax < np.maximum(tmin, 0.0)) | \
                     (tmin > np.minimum(best_t[r], max_range))
                 r, k = r[~culled], k[~culled]

@@ -5,11 +5,11 @@ configured field of view, returning the nearest surface distance up to
 max_range with additive Gaussian range noise. Zones that hit nothing in
 range report NO_TARGET (NaN distance, valid=False).
 
-zone_rays is the one definition of where each zone looks: capture_frames
-casts along it and analysis.reconstruct back-projects along it.
-capture_frames casts the zone rays of every sensor that fires at one
-instant as one packet through a Bvh of the posed scene; capture_frame is
-its one-sensor case.
+zone_rays is the one definition of where each zone looks: the caster casts
+along it and analysis.reconstruct back-projects along it. capture_frames
+turns the cast distances and hit mask of a block of frame times, every
+sensor at each, into frames with noise; capture_frame casts one sensor's
+zone rays through a Bvh and is its one-frame case.
 """
 
 import functools
@@ -103,36 +103,38 @@ def zone_rays(poses: Pose, spec: ToFSpec):
     return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
 
 
-def capture_frames(sensor_ids, poses: Pose, bvh: Bvh, t: float, spec: ToFSpec, rngs):
-    """One frame per sensor at time t, all zone rays cast in one packet.
+def capture_frames(sensor_ids, times, dist, hit, spec: ToFSpec, rngs):
+    """One frame per sensor per time, time-major, from cast zone distances.
 
-    poses stacks one pose per sensor.
-
-    1 ray per zone, Gaussian range noise, clamp to (0, max_range]. Each
-    sensor's noise grid is drawn from its own rng once per frame regardless
-    of hits, so the rng streams do not depend on scene content.
+    dist and hit are the distances and hit mask of the zone_rays of the
+    (times, sensors) pose stack, len(times) * len(sensor_ids) * nx * ny rows.
+    Gaussian range noise, then a clamp to (0, max_range]. Each sensor draws
+    its noise for the whole block from its own rng in one call, the same
+    stream as one (nx, ny) draw per frame, whatever it hits, so the rng
+    streams do not depend on scene content.
     """
-    if not len(sensor_ids) == len(poses) == len(rngs):
-        raise ValueError("capture_frames needs one pose and one rng per sensor")
-    shape = (spec.nx, spec.ny)
-    noise = [rng.normal(0.0, spec.range_noise_sigma, size=shape)
-             if spec.range_noise_sigma > 0.0 else np.zeros(shape) for rng in rngs]
-    origins, directions = zone_rays(poses, spec)
-    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
-    dist = dist.reshape((-1,) + shape)
-    valid = idx.reshape((-1,) + shape) >= 0
-    frames = []
-    for k, sensor_id in enumerate(sensor_ids):
-        d = np.minimum(np.maximum(dist[k] + noise[k], _MIN_DISTANCE), spec.max_range)
-        frames.append(ToFFrame(sensor_id=sensor_id, timestamp=float(t),
-                               distances=np.where(valid[k], d, NO_TARGET), valid=valid[k]))
-    return frames
+    if len(sensor_ids) != len(rngs):
+        raise ValueError("capture_frames needs one rng per sensor")
+    shape = (len(times), len(sensor_ids), spec.nx, spec.ny)
+    valid = np.asarray(hit, dtype=bool).reshape(shape)
+    dist = np.asarray(dist, dtype=np.float64).reshape(shape)
+    if spec.range_noise_sigma > 0.0 and len(rngs):
+        noise = np.stack([rng.normal(0.0, spec.range_noise_sigma, size=(len(times),) + shape[2:])
+                          for rng in rngs], axis=1)
+        dist = dist + noise
+    d = np.minimum(np.maximum(dist, _MIN_DISTANCE), spec.max_range)
+    d = np.where(valid, d, NO_TARGET)
+    return [ToFFrame(sensor_id=sensor_id, timestamp=float(t), distances=d[j, k],
+                     valid=valid[j, k])
+            for j, t in enumerate(times) for k, sensor_id in enumerate(sensor_ids)]
 
 
 def capture_frame(sensor_id: int, sensor_pose: Pose, bvh: Bvh, t: float,
                   spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
-    """One sensor's frame; see capture_frames."""
-    return capture_frames([sensor_id], sensor_pose[None], bvh, t, spec, [rng])[0]
+    """One sensor's frame, its zone rays cast through bvh; see capture_frames."""
+    origins, directions = zone_rays(sensor_pose[None], spec)
+    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
+    return capture_frames([sensor_id], [t], dist, idx >= 0, spec, [rng])[0]
 
 
 def frame_times(duration: float, spec: ToFSpec):

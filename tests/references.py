@@ -18,9 +18,9 @@ from hybridskin.kinematics import (REVOLUTE, Pose, _quat_normalize, mount_poses,
                                    quat_to_matrix)
 from hybridskin.mesh import (DEGENERATE_AREA, Finding, Material, TriMesh,
                              ValidationReport)
-from hybridskin.raycast import Ray, TriangleSet, _intersect_rows, point_mesh_distance
+from hybridskin.raycast import Bvh, Ray, TriangleSet, _intersect_rows, point_mesh_distance
 from hybridskin.sc import expected_counts
-from hybridskin.tof import ToFSpec, zone_direction_local, zone_rays
+from hybridskin.tof import NO_TARGET, ToFFrame, ToFSpec, zone_direction_local, zone_rays
 
 
 def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
@@ -82,7 +82,7 @@ def pose_matrix(pose: Pose):
 
 
 def stack_poses(poses):
-    """One Pose stacking single poses, the form capture_frames takes."""
+    """One Pose stacking single poses, the form zone_rays takes."""
     return Pose(np.array([p.rotation for p in poses]).reshape(-1, 4),
                 np.array([p.translation for p in poses]).reshape(-1, 3))
 
@@ -231,6 +231,40 @@ def measure_counts_scalar(c: float, spec, tof_active: bool, rng) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Frame-time-by-frame-time ToF stream: the bit reference of simulate's
+# two-level cast
+# ---------------------------------------------------------------------------
+
+def capture_frames_through(bvh, sensor_ids, poses: Pose, t: float, spec: ToFSpec, rngs):
+    """One frame per sensor at time t, the zone rays cast through bvh as one
+    packet; poses stacks one pose per sensor. Each sensor draws one (nx, ny)
+    noise grid per frame."""
+    shape = (spec.nx, spec.ny)
+    noise = [rng.normal(0.0, spec.range_noise_sigma, size=shape)
+             if spec.range_noise_sigma > 0.0 else np.zeros(shape) for rng in rngs]
+    origins, directions = zone_rays(poses, spec)
+    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
+    dist = dist.reshape((-1,) + shape)
+    valid = idx.reshape((-1,) + shape) >= 0
+    frames = []
+    for k, sensor_id in enumerate(sensor_ids):
+        d = np.minimum(np.maximum(dist[k] + noise[k], 1e-6), spec.max_range)
+        frames.append(ToFFrame(sensor_id=sensor_id, timestamp=float(t),
+                               distances=np.where(valid[k], d, NO_TARGET), valid=valid[k]))
+    return frames
+
+
+def tof_frames_merged(scene, sensor_ids, times, poses: Pose, spec: ToFSpec, rngs):
+    """Every sensor's frame at every time, one Bvh over the whole posed scene
+    per frame time; poses is (times, sensors)."""
+    frames = []
+    for j, t in enumerate(np.asarray(times).tolist()):
+        bvh = Bvh(TriangleSet.from_meshes([m for m, _ in scene.at(t)]))
+        frames += capture_frames_through(bvh, sensor_ids, poses[j], t, spec, rngs)
+    return frames
+
+
+# ---------------------------------------------------------------------------
 # Run-by-run reconstruction and point-by-point PLY: the bit references of
 # analysis.reconstruct's ray blocks and save_ply's one-array write
 # ---------------------------------------------------------------------------
@@ -256,6 +290,14 @@ def reconstruct_by_runs(frames, chain, trajectory, spec: ToFSpec) -> PointCloud:
         ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
         times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
     return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
+
+
+def state_at_scalar(label, t):
+    """The state of one time: the first interval with t0 <= t < t1, else None."""
+    for t0, t1, state in label.intervals:
+        if t0 <= t < t1:
+            return state
+    return None
 
 
 def ply_binary_body_struct(cloud: PointCloud) -> bytes:

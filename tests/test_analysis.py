@@ -17,9 +17,9 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from hybridskin.sc import ScSample, fit_snr_table
-from hybridskin.tof import ToFFrame, ToFSpec, capture_frame, capture_frames
-from references import (ply_binary_body_struct, raycast_brute_force,
-                        reconstruct_by_runs, stack_poses, zone_ray)
+from hybridskin.tof import ToFFrame, ToFSpec, capture_frame
+from references import (capture_frames_through, ply_binary_body_struct, raycast_brute_force,
+                        reconstruct_by_runs, stack_poses, state_at_scalar, zone_ray)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -196,8 +196,8 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
     for t, sids in schedule:
         poses = [forward_kinematics(chain, traj.value_at(t))[1].compose(
             chain.sensor_mounts[sid].local) for sid in sids]
-        frames += capture_frames(sids, stack_poses(poses), bvh, t, spec,
-                                 [np.random.default_rng(0)] * len(sids))
+        frames += capture_frames_through(bvh, sids, stack_poses(poses), t, spec,
+                                         [np.random.default_rng(0)] * len(sids))
     cloud = reconstruct(frames, chain, traj, spec)
 
     points, ids, times = [], [], []
@@ -267,8 +267,8 @@ def test_reconstruct_rejects_frames_of_another_zone_grid():
 def test_unknown_sensor_inside_a_run_raises():
     spec = ToFSpec(range_noise_sigma=0.0)
     chain, traj, tris = three_sensor_orbit()
-    frames = capture_frames([0, 99, 1], stack_poses([Pose.identity()] * 3), Bvh(tris), 0.5,
-                            spec, [np.random.default_rng(0)] * 3)
+    frames = capture_frames_through(Bvh(tris), [0, 99, 1], stack_poses([Pose.identity()] * 3),
+                                    0.5, spec, [np.random.default_rng(0)] * 3)
     with pytest.raises(UnknownSensorError):
         reconstruct(frames, chain, traj, spec)
 
@@ -421,7 +421,8 @@ def test_pressure_ordering_detected_at_table_noise():
         (1000 * 0.024, 2000 * 0.024, ACTIVE_REST),
         (2000 * 0.024, 3000 * 0.024, ACTIVE_SQUEEZE),
     ])
-    report = pressure_series(samples, labels)
+    report = pressure_series([s.counts for s in samples],
+                             labels.states_at([s.timestamp for s in samples]))
     assert report.applicable
     assert report.squeeze_above_rest
     assert report.rest_above_inactive
@@ -431,8 +432,28 @@ def test_pressure_ordering_detected_at_table_noise():
 def test_no_contact_series_is_not_applicable():
     samples = [ScSample(0, 0.01 * i, 1000 + (i % 3)) for i in range(100)]
     labels = ActivityLabel(site_id=0, intervals=[(0.0, 1.0, INACTIVE)])
-    report = pressure_series(samples, labels)
+    report = pressure_series([s.counts for s in samples],
+                             labels.states_at([s.timestamp for s in samples]))
     assert not report.applicable
+
+
+def test_states_at_equals_the_interval_scan_at_and_between_the_edges():
+    # Touching, separated and single-point-wide gaps; times exactly on every
+    # edge, one ulp either side, far outside, and NaN.
+    label = ActivityLabel(0, [(0.0, 1.0, INACTIVE), (1.0, 2.5, ACTIVE_REST),
+                              (3.0, 3.5, ACTIVE_SQUEEZE),
+                              (np.nextafter(3.5, 4.0), 4.0, INACTIVE)])
+    edges = np.array([0.0, 1.0, 2.5, 3.0, 3.5, np.nextafter(3.5, 4.0), 4.0])
+    times = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                            [-1e300, -np.inf, np.inf, np.nan],
+                            np.random.default_rng(7).uniform(-1.0, 5.0, 500)])
+    states = label.states_at(times)
+    assert states.dtype == object and states.shape == times.shape
+    assert list(states) == [state_at_scalar(label, t) for t in times.tolist()]
+    assert list(states[:7]) == [INACTIVE, ACTIVE_REST, None, ACTIVE_SQUEEZE, None, INACTIVE,
+                                None]
+    assert list(ActivityLabel(1, []).states_at([0.0, np.nan])) == [None, None]
+    assert label.states_at([]).shape == (0,)
 
 
 def test_labels_validate_interval_order():

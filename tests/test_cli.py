@@ -11,7 +11,7 @@ from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.logs import read_log
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from references import (capsule_mesh, conductive_distance_scalar, save_obj_by_line,
-                        save_stl_per_material_by_face)
+                        save_stl_per_material_by_face, tof_frames_merged)
 
 
 def write_json(path, payload):
@@ -187,24 +187,36 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
 
 
 def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeypatch):
+    # One Bvh over the static wall serves the run; each frame time builds one
+    # over its posed movers only, and drops it before the next.
     from hybridskin import raycast
-    cfg = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
+    cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
+    cfg = json.loads(Path(cfg_path).read_text())
+    scene = json.loads(Path(cfg["simulation"]["scene"]).read_text())
+    scene["objects"].append({
+        "name": "hand", "primitive": {"kind": "box", "size": [0.2, 0.2, 0.2]},
+        "keyframes": [{"t": 0.0, "translation": [0.0, 0.0, 1.0]},
+                      {"t": 1.0, "translation": [0.5, 0.0, 1.0]}]})
+    cfg["simulation"]["scene"] = write_json(tmp_path / "moving.json", scene)
     built = []
     build = raycast.Bvh.__init__
 
-    def tracked_build(self, *args, **kwargs):
-        # The previous frame time's BVH is gone before the next is built.
-        assert all(ref() is None for ref in built)
-        build(self, *args, **kwargs)
-        built.append(weakref.ref(self))
+    def tracked_build(self, tris, *args, **kwargs):
+        assert sum(ref() is not None for _, ref in built) <= 1  # only the static one lives
+        build(self, tris, *args, **kwargs)
+        built.append((tris.n_triangles, weakref.ref(self)))
 
     monkeypatch.setattr(raycast.Bvh, "__init__", tracked_build)
     out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
     tof = [r for r in read_log(out / "samples.jsonl") if r["type"] == "tof"]
     assert len(tof) == 3 * 12
-    assert len(built) == 12  # 12 Hz over 1 s, shared by the three mounts
-    assert all(ref() is None for ref in built)
+    assert any(d is not None and d < 1.5 for r in tof for d in r["d"])  # the hand is seen
+    # 12 Hz over 1 s, shared by the three mounts: the wall's 8 triangles
+    # once, the hand's 12 at each frame time.
+    assert [n for n, _ in built] == [8] + [12] * 12
+    assert all(ref() is None for _, ref in built)
 
 
 def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
@@ -306,6 +318,122 @@ def test_sc_pass_without_conductive_objects_or_samples_reads_c0():
                                  np.random.default_rng(0)).shape == (0,)
 
 
+def tof_sensors(rng, n_times, n_sensors):
+    """A (times, sensors) stack of poses near z = -1, looking roughly along +z."""
+    axis = rng.normal(size=(n_times * n_sensors, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    angle = rng.uniform(0.0, 0.5, n_times * n_sensors)
+    rotation = np.column_stack([np.cos(angle / 2), np.sin(angle / 2)[:, None] * axis])
+    translation = rng.uniform(-0.3, 0.3, (n_times * n_sensors, 3)) + [0.0, 0.0, -1.0]
+    return Pose(rotation.reshape(n_times, n_sensors, 4),
+                translation.reshape(n_times, n_sensors, 3))
+
+
+def tof_scene(rng, statics=True, movers=True):
+    """Static clutter behind z = 0.4 and movers sweeping across in front of it."""
+    objects = []
+    if statics:
+        objects += [
+            SceneObject(mesh=make_plane_patch(4.0, 4.0, 3, 3, center=(0.0, 0.0, 1.5)),
+                        name="wall"),
+            SceneObject(mesh=make_uv_sphere(0.3, 8, 12, center=tuple(rng.uniform(-0.3, 0.3, 2))
+                                            + (0.8,)), name="ball"),
+            SceneObject(mesh=make_box((0.3, 0.2, 0.3), center=(0.3, -0.2, 0.6)), name="box")]
+    if movers:
+        for k in range(2):
+            keys = [(t, Pose(translation=(*rng.uniform(-0.6, 0.6, 2), rng.uniform(-0.3, 0.3))))
+                    for t in (0.0, 0.7, 2.0)]
+            objects.insert(k, SceneObject(mesh=make_box((0.3, 0.3, 0.1)), name=f"hand{k}",
+                                          keyframes=keys))
+    return Scene(objects=objects)
+
+
+def assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.sensor_id, a.timestamp) == (b.sensor_id, b.timestamp)
+        assert np.array_equal(a.valid, b.valid)
+        assert np.array_equal(a.distances, b.distances, equal_nan=True)
+
+
+def two_level_against_merged(scene, times, poses, spec, sensor_ids=None):
+    """The two-level cast and the merged-scene reference on fresh rng streams."""
+    sensor_ids = sensor_ids or list(range(poses.rotation.shape[1]))
+    rngs = lambda: [np.random.default_rng([5, k]) for k in range(len(sensor_ids))]
+    got = list(cli._tof_frames(scene, sensor_ids, times, poses, spec, rngs()))
+    assert_same_frames(got, tof_frames_merged(scene, sensor_ids, times, poses, spec, rngs()))
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_level_tof_cast_equals_the_merged_scene_per_frame_time(seed):
+    # Movers pass in front of static objects: a frame keeps the nearer hit.
+    from hybridskin.tof import ToFSpec
+    rng = np.random.default_rng(seed)
+    spec = ToFSpec(nx=4, ny=4, range_noise_sigma=0.02, max_range=2.0)
+    times = np.linspace(0.0, 1.9, 7)
+    scene, poses = tof_scene(rng), tof_sensors(rng, len(times), 5)
+    frames = two_level_against_merged(scene, times, poses, spec)
+    statics = Scene(objects=[obj for obj in scene.objects if not obj.keyframes])
+    behind = tof_frames_merged(statics, list(range(5)), times, poses, spec,
+                               [np.random.default_rng([5, k]) for k in range(5)])
+    seen = np.array([f.valid for f in frames])
+    d = np.where(seen, [f.distances for f in frames], np.inf)
+    d_static = np.where([f.valid for f in behind], [f.distances for f in behind], np.inf)
+    assert np.any(d < d_static) and np.any((d == d_static) & seen) and not seen.all()
+
+
+def test_two_level_tof_cast_ties_a_static_and_a_moving_triangle():
+    # A mover that stands still on a static plate: every hit is a tie.
+    from hybridskin.tof import ToFSpec
+    plate = make_plane_patch(3.0, 3.0, 2, 2, center=(0.0, 0.0, 0.5))
+    still = [(0.0, Pose()), (2.0, Pose())]
+    scene = Scene(objects=[SceneObject(mesh=plate, name="plate"),
+                           SceneObject(mesh=plate, name="twin", keyframes=still)])
+    spec = ToFSpec(nx=3, ny=3, range_noise_sigma=0.0)
+    times = np.array([0.0, 1.0])
+    frames = two_level_against_merged(scene, times, tof_sensors(np.random.default_rng(3), 2, 4),
+                                      spec)
+    assert all(f.valid.all() for f in frames)
+
+
+@pytest.mark.parametrize("statics,movers", [(False, True), (True, False), (False, False)])
+def test_two_level_tof_cast_with_one_level_or_none(statics, movers):
+    from hybridskin.tof import ToFSpec
+    rng = np.random.default_rng(4)
+    spec = ToFSpec(nx=4, ny=2, range_noise_sigma=0.01)
+    times = np.linspace(0.0, 1.5, 4)
+    frames = two_level_against_merged(tof_scene(rng, statics, movers), times,
+                                      tof_sensors(rng, len(times), 3), spec)
+    assert len(frames) == 4 * 3
+    assert any(f.valid.any() for f in frames) == (statics or movers)
+
+
+def test_two_level_tof_cast_of_zero_duration_is_empty():
+    from hybridskin.tof import ToFSpec, frame_times
+    spec = ToFSpec()
+    times = frame_times(0.0, spec)
+    assert two_level_against_merged(tof_scene(np.random.default_rng(5)), times,
+                                    tof_sensors(np.random.default_rng(5), 0, 3), spec) == []
+
+
+def test_two_level_tof_cast_in_many_blocks_equals_one_block(monkeypatch):
+    from hybridskin.tof import ToFSpec
+    rng = np.random.default_rng(6)
+    spec = ToFSpec(nx=4, ny=4, range_noise_sigma=0.03)
+    times = np.linspace(0.0, 1.9, 9)
+    scene, poses = tof_scene(rng), tof_sensors(rng, len(times), 3)
+    one_block = two_level_against_merged(scene, times, poses, spec)
+    zone_rays, blocks = cli.tof.zone_rays, []
+    monkeypatch.setattr(cli.tof, "zone_rays",
+                        lambda p, s: blocks.append(p.rotation.shape[0]) or zone_rays(p, s))
+    for per_block, sizes in ((1, [1] * 9), (2.5, [2, 2, 2, 2, 1])):
+        blocks.clear()
+        monkeypatch.setattr(cli, "_TOF_RAYS", int(per_block * 3 * 16))
+        assert_same_frames(two_level_against_merged(scene, times, poses, spec), one_block)
+        assert blocks == sizes
+
+
 def test_simulate_poses_and_measures_the_sc_stream_in_whole_array_passes(tmp_path, monkeypatch):
     from hybridskin import kinematics, raycast, sc
     cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
@@ -337,8 +465,10 @@ def test_simulate_poses_and_measures_the_sc_stream_in_whole_array_passes(tmp_pat
     records = read_log(out / "samples.jsonl")
     assert sum(r["type"] == "sc" for r in records) >= 3 * 40
     frame_times, conductive = 12, 2
-    assert calls["scene_at"] <= frame_times
-    assert calls["triangle_sets"] <= frame_times + conductive
+    assert calls["scene_at"] == frame_times
+    # ToF: the static scene once and the movers at each frame time; SC: one
+    # set per conductive object
+    assert calls["triangle_sets"] == 1 + frame_times + conductive
     assert calls["distance"] == conductive  # one block
     assert calls["measure"] == 3  # one per nodule
 
@@ -513,6 +643,65 @@ def test_snr_command_reports_and_lists_omissions(tmp_path, capsys):
     assert "1" in summary  # site 1 had no labels
     stdout = capsys.readouterr().out
     assert "contact=true" in stdout
+
+
+def with_bad_line(log, bad, at=5):
+    """The log with a blank line 2 and the record `bad` as line `at`."""
+    lines = Path(log).read_text().splitlines()
+    lines = lines[:1] + [""] + lines[1:]
+    lines.insert(at - 1, bad)
+    path = Path(log).with_name("bad.jsonl")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ('{"type":"sc","t":0.5,"counts":1000}', "no 'site_id' field"),
+    ("[1,2]", "not a JSON object"),
+    ('{"type":"sc","site_id":0,"t":"x","counts":1000}', "could not convert"),
+], ids=["no_site_id", "not_an_object", "string_t"])
+def test_snr_names_the_line_of_a_malformed_record(tmp_path, capsys, bad, reason):
+    log, labels = synth_snr_log(tmp_path)
+    assert main(["snr", "--log", with_bad_line(log, bad), "--labels", labels,
+                 "--out", str(tmp_path / "snr")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("log line 5: ") and reason in error["message"]
+
+
+def tof_line(**fields):
+    record = {"type": "tof", "sensor_id": 0, "t": 0.5, "d": [None] * 64, "valid": [False] * 64}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("[1,2]", "not a JSON object"),
+    (tof_line(sensor_id=None), "no 'sensor_id' field"),
+    (tof_line(t="x"), "could not convert"),
+    (tof_line(d=[1.0], valid=[True]), "1 zones, expected 64"),
+], ids=["not_an_object", "no_sensor_id", "string_t", "wrong_zone_count"])
+def test_reconstruct_names_the_line_of_a_malformed_record(tmp_path, capsys, bad, reason):
+    cfg = wall_fixture(tmp_path, duration=1.0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg,
+                 "--log", with_bad_line(sim_out / "samples.jsonl", bad),
+                 "--out", str(tmp_path / "rec")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("log line 5: ") and reason in error["message"]
+
+
+def test_blank_log_lines_are_skipped(tmp_path):
+    log, labels = synth_snr_log(tmp_path)
+    blank = with_bad_line(log, "   ")
+    for path, out in ((log, "a"), (blank, "b")):
+        assert main(["snr", "--log", path, "--labels", labels,
+                     "--out", str(tmp_path / out)]) == 0
+    for name in ("snr.csv", "summary.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,19 @@ import pytest
 
 from hybridskin import layout
 from hybridskin.errors import CouplingGapError, SaturationError
-from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
-from hybridskin.layout import (MountSpec, RingSpec, SurfaceSite, compose_skin,
+from hybridskin.geometry import (OffsetSpec, extrude_covering, offset_surface, tangent_frame,
+                                 unit_circle)
+from hybridskin.layout import (MOUNT_SEGMENTS, MountSpec, RingSpec, SurfaceSite, compose_skin,
                                instance_mount, instance_ring, read_manifest,
                                sample_sites, write_manifest)
 from hybridskin.mesh import (Material, make_cylinder, make_plane_patch,
                              sample_surface, validate_mesh)
 from references import capsule_mesh, instance_mount_by_face, instance_ring_by_face
+
+
+def circle(site, segments):
+    """The unit circle of `segments` points on one site's tangent plane."""
+    return unit_circle(segments, *tangent_frame(site.normal))
 
 
 def flat_site(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0), site_id=0):
@@ -118,7 +124,7 @@ def test_site_position_matches_barycentric_interpolation():
 
 def test_ring_vertices_stay_inside_annulus():
     spec = RingSpec(inner_radius=0.008, outer_radius=0.014, height=0.002, segments=64)
-    ring = instance_ring(flat_site(), spec)
+    ring = instance_ring(flat_site(), spec, circle(flat_site(), spec.segments))
     radial = np.linalg.norm(ring.vertices[:, :2], axis=1)
     assert radial.min() >= 0.008 - 1e-12
     assert radial.max() <= 0.014 + 1e-12
@@ -128,7 +134,7 @@ def test_ring_vertices_stay_inside_annulus():
 
 
 def test_octagonal_ring_has_32_vertices():
-    ring = instance_ring(flat_site(), RingSpec(segments=8))
+    ring = instance_ring(flat_site(), RingSpec(segments=8), circle(flat_site(), 8))
     assert ring.n_vertices == 32
     assert ring.n_faces == 64
     report = validate_mesh(ring)
@@ -145,11 +151,12 @@ def test_instanced_bodies_are_outward_oriented():
 
     spec = RingSpec(inner_radius=0.008, outer_radius=0.014, height=0.002,
                     segments=64)
-    ring = instance_ring(flat_site(), spec)
+    ring = instance_ring(flat_site(), spec, circle(flat_site(), spec.segments))
     annulus = np.pi * (spec.outer_radius ** 2 - spec.inner_radius ** 2) * spec.height
     assert signed_volume(ring) == pytest.approx(annulus, rel=0.01)
 
-    mount = instance_mount(flat_site(), MountSpec(0.007, 0.004))
+    mount = instance_mount(flat_site(), MountSpec(0.007, 0.004),
+                           circle(flat_site(), MOUNT_SEGMENTS))
     assert signed_volume(mount) == pytest.approx(np.pi * 0.007 ** 2 * 0.004,
                                                  rel=0.01)
 
@@ -167,7 +174,7 @@ def test_ring_follows_site_normal():
     site = flat_site(position=(0.1, -0.2, 0.3),
                      normal=tuple(np.array([1.0, 1.0, 1.0]) / np.sqrt(3)))
     spec = RingSpec()
-    ring = instance_ring(site, spec)
+    ring = instance_ring(site, spec, circle(site, spec.segments))
     rel = ring.vertices - np.asarray(site.position)
     axial = rel @ np.asarray(site.normal)
     radial = np.sqrt(np.einsum("ij,ij->i", rel, rel) - axial ** 2)
@@ -179,7 +186,8 @@ def test_ring_follows_site_normal():
 
 def test_mount_footprint_passes_through_site():
     site = flat_site(position=(0.01, 0.02, 0.0))
-    body = instance_mount(site, MountSpec(footprint_radius=0.007, height=0.004))
+    body = instance_mount(site, MountSpec(footprint_radius=0.007, height=0.004),
+                          circle(site, MOUNT_SEGMENTS))
     assert np.array_equal(body.vertices[-2], site.position)  # base center
     assert np.allclose(body.vertices[-1], (0.01, 0.02, 0.004), atol=1e-15)
     rim = body.vertices[:32] - np.asarray(site.position)
@@ -288,15 +296,21 @@ def test_manifest_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("segments", [8, 13, 64])
-def test_parts_equal_the_per_face_reference_bit_for_bit(segments):
+def test_parts_equal_the_per_face_reference_bit_for_bit(segments, monkeypatch):
+    # compose_skin's parts, from one batched tangent frame for all sites,
+    # against the one-site, one-face-at-a-time references.
     dermis = offset_surface(capsule_mesh(0.045, 0.22, 48, 8, 16), OffsetSpec(0.004))
-    sites = sample_sites(dermis, 40, 0.03, seed=7) + [flat_site(normal=(-1.0, 0.0, 0.0))]
+    sites = sample_sites(dermis, 40, 0.03, seed=7) + [flat_site(normal=(-1.0, 0.0, 0.0),
+                                                                site_id=40)]
     ring_spec = RingSpec(segments=segments)
     mount_spec = MountSpec(footprint_radius=0.006, height=0.003)
-    for site in sites:
-        for got, want in ((instance_ring(site, ring_spec), instance_ring_by_face(site, ring_spec)),
-                          (instance_mount(site, mount_spec),
-                           instance_mount_by_face(site, mount_spec))):
+    monkeypatch.setattr(layout, "generate_supports", lambda *args, **kwargs: [])
+    assembly = compose_skin(dermis, dermis, sites, ring_spec, mount_spec)
+    assert [sid for sid, _ in assembly.rings] == [sid for sid, _ in assembly.mounts] == \
+        [site.site_id for site in sites]
+    for site, (_, ring), (_, mount) in zip(sites, assembly.rings, assembly.mounts):
+        for got, want in ((ring, instance_ring_by_face(site, ring_spec)),
+                          (mount, instance_mount_by_face(site, mount_spec))):
             for name in ("vertices", "faces", "face_material"):
                 x, y = getattr(got, name), getattr(want, name)
                 assert x.dtype == y.dtype and x.shape == y.shape, name

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hybridskin.logs import (encode_record, merge_records, read_log,
                              sc_record, sc_samples_from_records, tof_record,
@@ -76,3 +77,14 @@ def test_empty_log(tmp_path):
     path = tmp_path / "empty.jsonl"
     write_log(path, [])
     assert read_log(path) == []
+
+
+def test_blank_lines_keep_record_k_on_line_k_plus_1(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"type":"sc","site_id":0,"t":0.0,"counts":5}\n\n  \n'
+                    '{"type":"sc","site_id":0,"t":0.1,"counts":-1}\n')
+    records = read_log(path)
+    assert records[1:3] == [{}, {}] and len(records) == 4
+    assert sc_samples_from_records(records[:3])[0].counts == 5
+    with pytest.raises(ValueError, match="^log line 4: counts must be >= 0$"):
+        sc_samples_from_records(records)

@@ -6,8 +6,8 @@ from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet
 from hybridskin.tof import (ToFFrame, ToFSpec, capture_frame,
                             capture_frames, frame_times, zone_angles,
-                            zone_direction_local)
-from references import raycast_brute_force, stack_poses, zone_ray
+                            zone_direction_local, zone_rays)
+from references import capture_frames_through, raycast_brute_force, stack_poses, zone_ray
 
 
 def wall_caster(z=2.0, size=20.0):
@@ -134,24 +134,40 @@ def random_poses(rng, n):
     return stack_poses(poses)
 
 
+def cast_frames(caster, sensor_ids, times, poses, spec, rngs):
+    """capture_frames of the zone rays of a (times, sensors) pose stack."""
+    origins, directions = zone_rays(poses, spec)
+    dist, idx = caster.raycast_many(origins, directions, spec.max_range)
+    return capture_frames(sensor_ids, times, dist, idx >= 0, spec, rngs)
+
+
 def test_capture_frames_equals_per_sensor_capture_frame():
+    # A block of three frame times: each sensor's one noise draw for the
+    # block carries the bits of one draw per frame.
     spec = ToFSpec(range_noise_sigma=0.05)
     caster = cluttered_caster()
-    poses = random_poses(np.random.default_rng(5), 12)
+    times = [0.25, 0.5, 0.75]
+    poses = random_poses(np.random.default_rng(5), 3 * 12)
+    poses = Pose(poses.rotation.reshape(3, 12, 4), poses.translation.reshape(3, 12, 3))
     ids = list(range(20, 32))
-    batch = capture_frames(ids, poses, caster, 0.25, spec,
-                           [np.random.default_rng([3, k]) for k in ids])
-    assert len(batch) == len(ids)
+    batch = cast_frames(caster, ids, times, poses, spec,
+                        [np.random.default_rng([3, k]) for k in ids])
+    assert len(batch) == len(times) * len(ids)
+    singles = {k: np.random.default_rng([3, k]) for k in ids}
+    by_time = [np.random.default_rng([3, k]) for k in ids]
     n_valid = 0
-    for k, frame in zip(ids, batch):
-        single = capture_frame(k, poses[k - 20], caster, 0.25, spec,
-                               np.random.default_rng([3, k]))
-        assert frame.sensor_id == k and frame.timestamp == 0.25
-        assert np.array_equal(frame.distances, single.distances, equal_nan=True)
-        assert np.array_equal(np.isnan(frame.distances), ~frame.valid)
-        assert np.array_equal(frame.valid, single.valid)
-        n_valid += int(frame.valid.sum())
-    assert 0 < n_valid < 64 * len(ids)  # both hits and misses were compared
+    for j, t in enumerate(times):
+        reference = capture_frames_through(caster, ids, poses[j], t, spec, by_time)
+        for k, sensor_id in enumerate(ids):
+            frame = batch[j * len(ids) + k]
+            single = capture_frame(sensor_id, poses[j, k], caster, t, spec, singles[sensor_id])
+            assert frame.sensor_id == sensor_id and frame.timestamp == t
+            for other in (single, reference[k]):
+                assert np.array_equal(frame.distances, other.distances, equal_nan=True)
+                assert np.array_equal(frame.valid, other.valid)
+            assert np.array_equal(np.isnan(frame.distances), ~frame.valid)
+            n_valid += int(frame.valid.sum())
+    assert 0 < n_valid < 64 * len(batch)  # both hits and misses were compared
 
 
 def test_capture_frames_rays_are_the_zone_rays():
@@ -160,8 +176,8 @@ def test_capture_frames_rays_are_the_zone_rays():
     spec = ToFSpec(range_noise_sigma=0.0)
     caster = cluttered_caster()
     poses = random_poses(np.random.default_rng(6), 6)
-    frames = capture_frames(list(range(6)), poses, caster, 0.0, spec,
-                            [np.random.default_rng(0)] * 6)
+    frames = cast_frames(caster, list(range(6)), [0.0], poses[None], spec,
+                         [np.random.default_rng(0)] * 6)
     for pose, frame in zip(poses, frames):
         for i in range(spec.nx):
             for j in range(spec.ny):
@@ -175,10 +191,14 @@ def test_capture_frames_rays_are_the_zone_rays():
 
 def test_capture_frames_needs_one_pose_and_rng_per_sensor():
     spec = ToFSpec()
+    dist, hit = np.full(2 * 64, 1.0), np.ones(2 * 64, dtype=bool)
     with pytest.raises(ValueError):
-        capture_frames([0, 1], stack_poses([Pose.identity()]), wall_caster(), 0.0, spec,
-                       [np.random.default_rng(0)] * 2)
-    assert capture_frames([], stack_poses([]), wall_caster(), 0.0, spec, []) == []
+        capture_frames([0, 1], [0.0], dist, hit, spec, [np.random.default_rng(0)])
+    with pytest.raises(ValueError):
+        capture_frames([0, 1], [0.0, 0.1], dist, hit, spec, [np.random.default_rng(0)] * 2)
+    assert capture_frames([], [0.0], np.zeros(0), np.zeros(0, dtype=bool), spec, []) == []
+    assert capture_frames([0], [], np.zeros(0), np.zeros(0, dtype=bool), spec,
+                          [np.random.default_rng(0)]) == []
 
 
 def test_frame_times_are_strictly_periodic():
