@@ -7,7 +7,6 @@ the trajectory), emitting one point per valid zone. SNR follows
 contact verdict at a configurable threshold (default 7).
 """
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import (DegenerateSignalError, InsufficientSamplesError,
                      UnknownSensorError)
 from .kinematics import JointTrajectory, KinematicChain, mount_poses
+from .logs import ToFTable
 from .sc import TABLE_COLUMNS, TableModel, simulate_cell_counts
 from .tof import ToFSpec, zone_rays
 
@@ -55,59 +55,60 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def reconstruct(frames, chain: KinematicChain, trajectory: JointTrajectory,
+def reconstruct(table: ToFTable, chain: KinematicChain, trajectory: JointTrajectory,
                 spec: ToFSpec) -> PointCloud:
     """World-space point per valid zone of every frame, in frame then zone order.
 
-    Frames reference the chain's mounts by sensor_id == mount site_id. One
-    pass evaluates the trajectory and poses the mount of every frame; the
-    frames are then back-projected along the zone rays that simulate casts
-    (tof.zone_rays), in blocks of consecutive frames of at most _RAY_BLOCK
-    rays, into one preallocated array. Every row of a block carries the
-    bits of the one-pose ray.
+    The frames are the rows of a ToFTable; they reference the chain's
+    mounts by sensor_id == mount site_id. One pass evaluates the trajectory
+    and poses the mount of every frame; the frames are then back-projected
+    along the zone rays that simulate casts (tof.zone_rays), in blocks of
+    consecutive frames of at most _RAY_BLOCK rays, into one preallocated
+    array. Every row of a block carries the bits of the one-pose ray.
     Raises UnknownSensorError for unmatched frames and DomainError (from
     the trajectory) for timestamps outside its domain, for the first fault
     in frame order. Frames are grouped into runs of consecutive frames that
     share a timestamp only for this order: a run's timestamp counts after
     its first frame's sensor and before the others. Raises ValueError for a
-    frame whose zone grid is not the spec's.
+    table whose zone grid is not the spec's.
     """
-    frames = list(frames)
+    ids, times = table.sensor_ids, table.times
+    n = len(times)
+    if not n:
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
+    starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
     by_site = {m.site_id: m for m in chain.sensor_mounts}
-    runs = [list(run) for _, run in itertools.groupby(frames, key=lambda f: f.timestamp)]
-    unknown = next(((k, j) for k, run in enumerate(runs) for j, f in enumerate(run)
-                    if f.sensor_id not in by_site), None)
+    unknown = np.flatnonzero(~np.isin(ids, list(by_site)))
     # The timestamps checked before the first unknown sensor: those of the
     # earlier runs, and its own run's unless it is the run's first frame.
-    checked = len(runs) if unknown is None else unknown[0] + (unknown[1] > 0)
-    q = trajectory.value_at(np.array([run[0].timestamp for run in runs[:checked]]))
-    if unknown is not None:
-        k, j = unknown
-        raise UnknownSensorError(f"no mount for sensor id {runs[k][j].sensor_id}")
-    if not runs:
-        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
-    poses = mount_poses(chain, np.repeat(q, [len(run) for run in runs], axis=0),
-                        [by_site[f.sensor_id] for f in frames])
+    checked = len(starts)
+    if len(unknown):
+        run = np.searchsorted(starts, unknown[0], side="right") - 1
+        checked = run + (unknown[0] > starts[run])
+    q = trajectory.value_at(times[starts[:checked]])
+    if len(unknown):
+        raise UnknownSensorError(f"no mount for sensor id {ids[unknown[0]]}")
+    poses = mount_poses(chain, np.repeat(q, np.diff(np.r_[starts, n]), axis=0),
+                        [by_site[i] for i in ids.tolist()])
 
     n_zones = spec.nx * spec.ny
-    odd = next((f for f in frames if f.valid.size != n_zones), None)
-    if odd is not None:
-        raise ValueError(f"frame of sensor {odd.sensor_id} at t={odd.timestamp} has "
-                         f"{odd.valid.size} zones, the spec has {n_zones}")
-    valid = np.concatenate([f.valid.reshape(-1) for f in frames])
-    counts = valid.reshape(len(frames), n_zones).sum(axis=1)
+    if table.valid.shape[1] != n_zones:
+        raise ValueError(f"frame of sensor {ids[0]} at t={times[0]} has "
+                         f"{table.valid.shape[1]} zones, the spec has {n_zones}")
+    valid = table.valid.reshape(-1)
+    distances = table.distances.reshape(-1)
+    counts = table.valid.sum(axis=1)
     points = np.empty((int(counts.sum()), 3))
     step = max(1, _RAY_BLOCK // n_zones)
     row = 0
-    for start in range(0, len(frames), step):
+    for start in range(0, n, step):
         origins, directions = zone_rays(poses[start:start + step], spec)
-        d = np.concatenate([f.distances.reshape(-1) for f in frames[start:start + step]])
-        v = valid[start * n_zones:(start + step) * n_zones]
-        n = np.count_nonzero(v)
-        points[row:row + n] = origins[v] + d[v, None] * directions[v]
-        row += n
-    return PointCloud(points, np.repeat([f.sensor_id for f in frames], counts),
-                      np.repeat([f.timestamp for f in frames], counts))
+        zones = slice(start * n_zones, (start + step) * n_zones)
+        d, v = distances[zones], valid[zones]
+        k = np.count_nonzero(v)
+        points[row:row + k] = origins[v] + d[v, None] * directions[v]
+        row += k
+    return PointCloud(points, np.repeat(ids, counts), np.repeat(times, counts))
 
 
 @dataclass(frozen=True)
@@ -275,6 +276,8 @@ class ActivityLabel:
         for t0, t1, state in self.intervals:
             if state not in ACTIVITY_STATES:
                 raise ValueError(f"unknown activity state {state!r}")
+            if not (np.isfinite(t0) and np.isfinite(t1)):
+                raise ValueError(f"interval ({t0}, {t1}) has a non-finite bound")
             if t1 <= t0:
                 raise ValueError(f"empty interval ({t0}, {t1})")
             if t0 < prev_end:

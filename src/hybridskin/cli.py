@@ -259,8 +259,8 @@ def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
     tof_spec = cfgmod.build_tof_spec(cfg)
-    # The parsed records are freed before reconstruct runs, which lowers
-    # its peak memory.
+    # The log's lines are freed before reconstruct runs, which lowers its
+    # peak memory.
     frames = logs.tof_frames_from_records(logs.read_log(log_path),
                                           nx=tof_spec.nx, ny=tof_spec.ny)
     cloud = analysis.reconstruct(frames, chain, trajectory, tof_spec)
@@ -286,19 +286,23 @@ def load_labels(path):
             site_id=int(entry["site_id"]),
             intervals=[(float(t0), float(t1), state)
                        for t0, t1, state in entry["intervals"]])
+        if label.site_id in out:
+            raise ValueError(f"labels list site {label.site_id} twice")
         out[label.site_id] = label
     return out
 
 
 def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
-    records = logs.read_log(log_path)
-    samples = logs.sc_samples_from_records(records)
+    table = logs.sc_samples_from_records(logs.read_log(log_path))
     labels = load_labels(labels_path)
     threshold = float(cfg.get("snr_threshold", analysis.DEFAULT_SNR_THRESHOLD))
 
-    by_site = {}
-    for s in samples:
-        by_site.setdefault(s.site_id, []).append(s)
+    # One stable sort groups the samples by site, each site's in log order.
+    order = np.argsort(table.site_ids, kind="stable")
+    ids, times, counts = table.site_ids[order], table.times[order], table.counts[order]
+    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    by_site = {int(ids[start]): slice(start, stop)
+               for start, stop in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]) if stop > start}
 
     rows = ["config,ring,mu_n,sigma_n,mu,snr,contact"]
     summary = []
@@ -307,19 +311,18 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
     for site_id in sorted(set(by_site) & set(labels)):
         # One labelling pass per site serves both the SNR split and the
         # pressure buckets.
-        site_samples = by_site[site_id]
-        counts = np.array([s.counts for s in site_samples])
-        states = labels[site_id].states_at([s.timestamp for s in site_samples])
+        site_counts = counts[by_site[site_id]]
+        states = labels[site_id].states_at(times[by_site[site_id]])
         rest, squeeze = states == analysis.ACTIVE_REST, states == analysis.ACTIVE_SQUEEZE
-        report = analysis.snr(counts[states == analysis.INACTIVE], counts[rest | squeeze],
-                              threshold, site_id=site_id)
+        report = analysis.snr(site_counts[states == analysis.INACTIVE],
+                              site_counts[rest | squeeze], threshold, site_id=site_id)
         rows.append(f"site{site_id},{site_id},{report.mu_n:.6f},"
                     f"{report.sigma_n:.6f},{report.mu:.6f},{report.snr:.6f},"
                     f"{str(report.contact).lower()}")
         summary.append(f"site {site_id}: snr={report.snr:.2f} "
                        f"contact={str(report.contact).lower()}")
         if squeeze.any() and rest.any():
-            p = analysis.pressure_series(counts, states, site_id)
+            p = analysis.pressure_series(site_counts, states, site_id)
             pressure_lines.append(
                 f"site {site_id}: squeeze>rest={str(p.squeeze_above_rest).lower()} "
                 f"rest>inactive={str(p.rest_above_inactive).lower()}")

@@ -5,21 +5,25 @@ batched or vectorized way, or a fixture writer the library has no use for.
 Tests import them as `from references import ...`.
 """
 
+import functools
 import itertools
+import json
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from hybridskin.errors import DimensionError, DomainError
+from hybridskin import analysis
+from hybridskin.errors import DimensionError, DomainError, UnknownSensorError
 from hybridskin.analysis import PointCloud
 from hybridskin.kinematics import (REVOLUTE, Pose, _quat_normalize, mount_poses,
                                    quat_to_matrix)
+from hybridskin.logs import ToFTable
 from hybridskin.mesh import (DEGENERATE_AREA, Finding, Material, TriMesh,
                              ValidationReport)
 from hybridskin.raycast import Bvh, Ray, TriangleSet, _intersect_rows, point_mesh_distance
-from hybridskin.sc import expected_counts
+from hybridskin.sc import ScSample, expected_counts
 from hybridskin.tof import NO_TARGET, ToFFrame, ToFSpec, zone_direction_local, zone_rays
 
 
@@ -290,6 +294,124 @@ def reconstruct_by_runs(frames, chain, trajectory, spec: ToFSpec) -> PointCloud:
         ids.append(np.repeat([f.sensor_id for f in run], n_zones)[valid])
         times.append(np.repeat([f.timestamp for f in run], n_zones)[valid])
     return PointCloud(np.concatenate(points), np.concatenate(ids), np.concatenate(times))
+
+
+def reconstruct_frames(frames, chain, trajectory, spec: ToFSpec) -> PointCloud:
+    """analysis.reconstruct over a list of ToFFrames, grouping runs with
+    itertools.groupby and concatenating each block's frames."""
+    frames = list(frames)
+    by_site = {m.site_id: m for m in chain.sensor_mounts}
+    runs = [list(run) for _, run in itertools.groupby(frames, key=lambda f: f.timestamp)]
+    unknown = next(((k, j) for k, run in enumerate(runs) for j, f in enumerate(run)
+                    if f.sensor_id not in by_site), None)
+    checked = len(runs) if unknown is None else unknown[0] + (unknown[1] > 0)
+    q = trajectory.value_at(np.array([run[0].timestamp for run in runs[:checked]]))
+    if unknown is not None:
+        k, j = unknown
+        raise UnknownSensorError(f"no mount for sensor id {runs[k][j].sensor_id}")
+    if not runs:
+        return PointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0))
+    poses = mount_poses(chain, np.repeat(q, [len(run) for run in runs], axis=0),
+                        [by_site[f.sensor_id] for f in frames])
+    n_zones = spec.nx * spec.ny
+    odd = next((f for f in frames if f.valid.size != n_zones), None)
+    if odd is not None:
+        raise ValueError(f"frame of sensor {odd.sensor_id} at t={odd.timestamp} has "
+                         f"{odd.valid.size} zones, the spec has {n_zones}")
+    valid = np.concatenate([f.valid.reshape(-1) for f in frames])
+    counts = valid.reshape(len(frames), n_zones).sum(axis=1)
+    points = np.empty((int(counts.sum()), 3))
+    step = max(1, analysis._RAY_BLOCK // n_zones)
+    row = 0
+    for start in range(0, len(frames), step):
+        origins, directions = zone_rays(poses[start:start + step], spec)
+        d = np.concatenate([f.distances.reshape(-1) for f in frames[start:start + step]])
+        v = valid[start * n_zones:(start + step) * n_zones]
+        n = np.count_nonzero(v)
+        points[row:row + n] = origins[v] + d[v, None] * directions[v]
+        row += n
+    return PointCloud(points, np.repeat([f.sensor_id for f in frames], counts),
+                      np.repeat([f.timestamp for f in frames], counts))
+
+
+def tof_table(frames) -> ToFTable:
+    """The ToFTable of a list of ToFFrames of one zone grid."""
+    frames = list(frames)
+    n_zones = frames[0].valid.size if frames else 64
+    return ToFTable(np.array([f.sensor_id for f in frames], dtype=np.int64),
+                    np.array([f.timestamp for f in frames], dtype=np.float64),
+                    np.array([f.distances.reshape(-1) for f in frames],
+                             dtype=np.float64).reshape(-1, n_zones),
+                    np.array([f.valid.reshape(-1) for f in frames],
+                             dtype=bool).reshape(-1, n_zones))
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record log decoding: the bit references of the table decoders
+# ---------------------------------------------------------------------------
+
+def read_records(path) -> list:
+    """One json.loads record per line; a blank line reads as an empty
+    record, which neither stream takes."""
+    records = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            records.append(json.loads(line) if line else {})
+    return records
+
+
+# What a decoder raises on a record that is not an object or lacks a field
+# or a value of the field's type.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _names_bad_lines(decode):
+    """decode, raising a ValueError that names the first line it rejects,
+    found by decoding each record alone after the whole list has failed."""
+    @functools.wraps(decode)
+    def decoded(records, *args, **kwargs):
+        try:
+            return decode(records, *args, **kwargs)
+        except _MALFORMED as exc:
+            error = exc
+        for line, record in enumerate(records, 1):
+            try:
+                decode([record], *args, **kwargs)
+            except _MALFORMED as exc:
+                if not isinstance(record, dict):
+                    reason = "not a JSON object"
+                elif isinstance(exc, KeyError):
+                    reason = f"no {exc.args[0]!r} field"
+                else:
+                    reason = str(exc)
+                raise ValueError(f"log line {line}: {reason}") from None
+        raise error
+    return decoded
+
+
+@_names_bad_lines
+def sc_samples_by_record(records) -> list:
+    """One ScSample per SC record of read_records' list."""
+    return [ScSample(site_id=r["site_id"], timestamp=float(r["t"]), counts=r["counts"])
+            for r in records if r.get("type") == "sc"]
+
+
+@_names_bad_lines
+def tof_frames_by_record(records, nx=8, ny=8) -> list:
+    """One ToFFrame per ToF record of read_records' list."""
+    frames = []
+    for r in records:
+        if r.get("type") != "tof":
+            continue
+        d = np.array([math.nan if x is None else float(x) for x in r["d"]])
+        v = np.array([bool(x) for x in r["valid"]])
+        if d.size != nx * ny:
+            raise ValueError(f"tof record has {d.size} zones, expected {nx * ny}")
+        frames.append(ToFFrame(sensor_id=r["sensor_id"], timestamp=float(r["t"]),
+                               distances=d.reshape(nx, ny),
+                               valid=v.reshape(nx, ny)))
+    return frames
 
 
 def state_at_scalar(label, t):

@@ -16,14 +16,14 @@ from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
 from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, SensorMount, mount_poses)
 from hybridskin.layout import MountSpec, RingSpec, compose_skin, sample_sites
-from hybridskin.logs import read_log
 from hybridskin.mesh import make_cylinder, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, Ray, TriangleSet
 from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
                            fit_snr_table, measure_counts,
                            schedule_streams)
 from hybridskin.tof import ToFSpec, capture_frame, frame_times
-from references import raycast_brute_force, sphere_tessellation_for_chord_error
+from references import (raycast_brute_force, read_records,
+                        sphere_tessellation_for_chord_error, tof_table)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -137,7 +137,7 @@ def run_plane_capture(noise_sigma):
         for t in times:
             [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
             frames.append(capture_frame(sid, pose, caster, float(t), spec, rng))
-    cloud = reconstruct(frames, chain, trajectory, spec)
+    cloud = reconstruct(tof_table(frames), chain, trajectory, spec)
     return cloud
 
 
@@ -357,5 +357,5 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         assert "contact=true" in summary
         cloud = load_ply(tmp_path / "run1" / "rec" / "cloud.ply")
         assert len(cloud) > 0
-        log = read_log(tmp_path / "run1" / "sim" / "samples.jsonl")
+        log = read_records(tmp_path / "run1" / "sim" / "samples.jsonl")
         assert sum(1 for r in log if r["type"] == "tof") == 24  # 2 s at 12 Hz

@@ -19,7 +19,8 @@ from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from hybridskin.sc import ScSample, fit_snr_table
 from hybridskin.tof import ToFFrame, ToFSpec, capture_frame
 from references import (capture_frames_through, ply_binary_body_struct, raycast_brute_force,
-                        reconstruct_by_runs, stack_poses, state_at_scalar, zone_ray)
+                        reconstruct_by_runs, reconstruct_frames, stack_poses,
+                        state_at_scalar, tof_table, zone_ray)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -119,7 +120,7 @@ def test_single_frame_on_wall_fits_plane():
     frame = capture_frame(0, Pose.identity(),
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
-    cloud = reconstruct([frame], static_chain(), constant_trajectory(), spec)
+    cloud = reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
     assert len(cloud) == 64
     assert fit_plane_rms(cloud.points) < 1e-6
     assert np.allclose(cloud.points[:, 2], 2.0, atol=1e-9)
@@ -127,7 +128,7 @@ def test_single_frame_on_wall_fits_plane():
 
 def test_empty_frame_list_gives_empty_cloud():
     spec = ToFSpec()
-    cloud = reconstruct([], static_chain(), constant_trajectory(), spec)
+    cloud = reconstruct(tof_table([]), static_chain(), constant_trajectory(), spec)
     assert len(cloud) == 0
 
 
@@ -137,7 +138,7 @@ def test_point_provenance_distance_matches_log():
     frame = capture_frame(0, Pose.identity(),
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
-    cloud = reconstruct([frame], static_chain(), constant_trajectory(), spec)
+    cloud = reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
     logged = frame.distances[frame.valid].ravel()
     recon = np.linalg.norm(cloud.points, axis=1)  # sensor sits at the origin
     assert np.allclose(np.sort(recon), np.sort(logged), atol=1e-9)
@@ -156,7 +157,7 @@ def test_orbiting_sensor_covers_hidden_box_faces():
         t = k / 12.0
         [pose] = mount_poses(chain, traj.value_at(t), chain.sensor_mounts)
         frames.append(capture_frame(0, pose, caster, t, spec, rng))
-    cloud = reconstruct(frames, chain, traj, spec)
+    cloud = reconstruct(tof_table(frames), chain, traj, spec)
     assert len(cloud) > 500
     # every point sits on the box surface
     tris = TriangleSet(box.vertices, box.faces)
@@ -198,7 +199,7 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
             chain.sensor_mounts[sid].local) for sid in sids]
         frames += capture_frames_through(bvh, sids, stack_poses(poses), t, spec,
                                          [np.random.default_rng(0)] * len(sids))
-    cloud = reconstruct(frames, chain, traj, spec)
+    cloud = reconstruct(tof_table(frames), chain, traj, spec)
 
     points, ids, times = [], [], []
     for frame in frames:
@@ -248,7 +249,7 @@ def test_reconstruct_blocks_carry_the_bits_of_the_run_by_run_form(monkeypatch):
     zone_rays = analysis.zone_rays
     monkeypatch.setattr(analysis, "zone_rays",
                         lambda poses, s: calls.append(len(poses)) or zone_rays(poses, s))
-    cloud = reconstruct(frames, chain, traj, spec)
+    cloud = reconstruct(tof_table(frames), chain, traj, spec)
     reference = reconstruct_by_runs(frames, chain, traj, spec)
     assert len(calls) == math.ceil(n_rays / analysis._RAY_BLOCK)
     assert np.array_equal(cloud.points, reference.points)
@@ -261,7 +262,7 @@ def test_reconstruct_rejects_frames_of_another_zone_grid():
     chain, traj, _ = three_sensor_orbit()
     frames = [ToFFrame(0, 0.5, np.ones((4, 4)), np.ones((4, 4), dtype=bool))] * 256
     with pytest.raises(ValueError, match="16 zones"):
-        reconstruct(frames, chain, traj, spec)
+        reconstruct(tof_table(frames), chain, traj, spec)
 
 
 def test_unknown_sensor_inside_a_run_raises():
@@ -270,7 +271,7 @@ def test_unknown_sensor_inside_a_run_raises():
     frames = capture_frames_through(Bvh(tris), [0, 99, 1], stack_poses([Pose.identity()] * 3),
                                     0.5, spec, [np.random.default_rng(0)] * 3)
     with pytest.raises(UnknownSensorError):
-        reconstruct(frames, chain, traj, spec)
+        reconstruct(tof_table(frames), chain, traj, spec)
 
 
 @pytest.mark.parametrize("schedule,error", [
@@ -289,7 +290,78 @@ def test_reconstruct_raises_the_first_fault_in_frame_order(schedule, error):
     frames = [ToFFrame(sid, t, np.ones(shape), np.ones(shape, dtype=bool))
               for t, sids in schedule for sid in sids]
     with pytest.raises(error):
-        reconstruct(frames, chain, traj, spec)
+        reconstruct(tof_table(frames), chain, traj, spec)
+
+
+def random_runs(rng, spec, n_runs, t_max=2.0):
+    """Frames in runs of 1 to 4 sharing a timestamp; some timestamps repeat
+    an earlier run's, and some frames have no valid zone."""
+    frames, times = [], []
+    for _ in range(n_runs):
+        t = float(rng.choice(times)) if times and rng.random() < 0.2 else float(
+            rng.uniform(0.0, t_max))
+        times.append(t)
+        for _ in range(int(rng.integers(1, 5))):
+            valid = rng.random((spec.nx, spec.ny)) < rng.choice([0.0, 0.6, 1.0])
+            d = np.where(valid, rng.uniform(0.01, spec.max_range, valid.shape), np.nan)
+            frames.append(ToFFrame(int(rng.integers(0, 3)), t, d, valid))
+    return frames
+
+
+def outcome(reconstruct_fn, frames, chain, traj, spec):
+    try:
+        cloud = reconstruct_fn(frames, chain, traj, spec)
+    except (UnknownSensorError, DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    return cloud.points, cloud.sensor_ids, cloud.timestamps
+
+
+@pytest.mark.parametrize("fault", ["none", "unknown_first_in_run", "unknown_later_in_run",
+                                   "domain_before_unknown", "domain_after_unknown",
+                                   "domain_in_the_unknowns_run", "empty"])
+def test_table_reconstruct_equals_the_frame_list_reference(fault):
+    spec = ToFSpec()
+    chain, traj, _ = three_sensor_orbit()
+    rng = np.random.default_rng(11)
+    frames = [] if fault == "empty" else random_runs(rng, spec, 60)
+    starts = [k for k in range(len(frames))
+              if k == 0 or frames[k].timestamp != frames[k - 1].timestamp]
+    multi = [s for s, e in zip(starts, starts[1:] + [len(frames)]) if e - s >= 2]
+
+    def unknown_at(k):
+        frames[k] = ToFFrame(99, frames[k].timestamp, frames[k].distances, frames[k].valid)
+
+    def out_of_domain(run):
+        stop = next((s for s in starts if s > run), len(frames))
+        for k in range(run, stop):
+            frames[k] = ToFFrame(frames[k].sensor_id, 9.0, frames[k].distances,
+                                 frames[k].valid)
+
+    if fault == "unknown_first_in_run":
+        unknown_at(multi[3])
+        out_of_domain(multi[3])  # its run's time is never checked
+    elif fault == "unknown_later_in_run":
+        unknown_at(multi[3] + 1)
+    elif fault == "domain_before_unknown":
+        out_of_domain(starts[10])
+        unknown_at(starts[20])
+    elif fault == "domain_after_unknown":
+        unknown_at(starts[10])
+        out_of_domain(starts[20])
+    elif fault == "domain_in_the_unknowns_run":
+        unknown_at(multi[3] + 1)
+        out_of_domain(multi[3])
+    got = outcome(reconstruct, tof_table(frames), chain, traj, spec)
+    want = outcome(reconstruct_frames, frames, chain, traj, spec)
+    if fault == "none":
+        assert len(got[0]) > 0 and len(multi) > 3
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b if not isinstance(a, np.ndarray) else np.array_equal(a, b)
+    if fault in ("unknown_first_in_run", "unknown_later_in_run", "domain_after_unknown"):
+        assert got[0] is UnknownSensorError
+    if fault in ("domain_before_unknown", "domain_in_the_unknowns_run"):
+        assert got[0] is DomainError
 
 
 def test_unknown_sensor_raises():
@@ -299,7 +371,7 @@ def test_unknown_sensor_raises():
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
     with pytest.raises(UnknownSensorError):
-        reconstruct([frame], static_chain(), constant_trajectory(), spec)
+        reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
 
 
 def test_frame_outside_trajectory_domain_raises():
@@ -309,7 +381,8 @@ def test_frame_outside_trajectory_domain_raises():
                           Bvh(TriangleSet.from_meshes([wall])), 99.0, spec,
                           np.random.default_rng(0))
     with pytest.raises(DomainError):
-        reconstruct([frame], static_chain(), constant_trajectory(duration=1.0), spec)
+        reconstruct(tof_table([frame]), static_chain(), constant_trajectory(duration=1.0),
+                    spec)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +534,17 @@ def test_labels_validate_interval_order():
         ActivityLabel(0, [(0.0, 1.0, INACTIVE), (0.5, 2.0, ACTIVE_REST)])
     with pytest.raises(ValueError):
         ActivityLabel(0, [(0.0, 1.0, "LOUNGING")])
+
+
+@pytest.mark.parametrize("intervals", [
+    [(np.nan, 1.0, INACTIVE)], [(0.0, np.nan, INACTIVE)],
+    [(0.0, 1.0, INACTIVE), (np.nan, 2.0, ACTIVE_REST)],
+    [(0.0, 1.0, INACTIVE), (1.0, np.nan, ACTIVE_REST)],
+    [(-np.inf, 1.0, INACTIVE)], [(0.0, np.inf, INACTIVE)],
+], ids=["nan_start", "nan_end", "nan_second_start", "nan_second_end", "-inf", "inf"])
+def test_labels_reject_non_finite_bounds(intervals):
+    with pytest.raises(ValueError, match="non-finite bound"):
+        ActivityLabel(0, intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import weakref
 from pathlib import Path
@@ -8,10 +9,9 @@ import pytest
 from hybridskin import cli, meshio
 from hybridskin.cli import main
 from hybridskin.kinematics import Pose, Scene, SceneObject
-from hybridskin.logs import read_log
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from references import (capsule_mesh, conductive_distance_scalar, save_obj_by_line,
-                        save_stl_per_material_by_face, tof_frames_merged)
+from references import (capsule_mesh, conductive_distance_scalar, read_records,
+                        save_obj_by_line, save_stl_per_material_by_face, tof_frames_merged)
 
 
 def write_json(path, payload):
@@ -158,7 +158,7 @@ def test_simulate_one_nodule_stream_counts(tmp_path):
     cfg = wall_fixture(tmp_path, duration=1.0)
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    records = read_log(out / "samples.jsonl")
+    records = read_records(out / "samples.jsonl")
     tof = [r for r in records if r["type"] == "tof"]
     sc = [r for r in records if r["type"] == "sc"]
     assert len(tof) == 12
@@ -171,7 +171,7 @@ def test_simulate_zero_duration_writes_empty_log(tmp_path):
     cfg = wall_fixture(tmp_path, duration=0.0)
     out = tmp_path / "sim0"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    assert read_log(out / "samples.jsonl") == []
+    assert read_records(out / "samples.jsonl") == []
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -210,7 +210,7 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
     out = tmp_path / "sim"
     assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
                  "--out", str(out)]) == 0
-    tof = [r for r in read_log(out / "samples.jsonl") if r["type"] == "tof"]
+    tof = [r for r in read_records(out / "samples.jsonl") if r["type"] == "tof"]
     assert len(tof) == 3 * 12
     assert any(d is not None and d < 1.5 for r in tof for d in r["d"])  # the hand is seen
     # 12 Hz over 1 s, shared by the three mounts: the wall's 8 triangles
@@ -253,7 +253,7 @@ def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
     far = sc.expected_counts(sc.capacitance(electrode, 0.9),
                              cfgmod.build_measurement_spec(resolved))
     assert expected > far
-    counts = [r["counts"] for r in read_log(out / "samples.jsonl") if r["type"] == "sc"]
+    counts = [r["counts"] for r in read_records(out / "samples.jsonl") if r["type"] == "sc"]
     assert len(counts) >= 80
     assert counts == [expected] * len(counts)
 
@@ -462,7 +462,7 @@ def test_simulate_poses_and_measures_the_sc_stream_in_whole_array_passes(tmp_pat
     out = tmp_path / "sim"
     assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
                  "--out", str(out)]) == 0
-    records = read_log(out / "samples.jsonl")
+    records = read_records(out / "samples.jsonl")
     assert sum(r["type"] == "sc" for r in records) >= 3 * 40
     frame_times, conductive = 12, 2
     assert calls["scene_at"] == frame_times
@@ -493,7 +493,7 @@ def test_reconstruct_point_count_matches_valid_zones(tmp_path):
     rec_out = tmp_path / "rec"
     assert main(["reconstruct", "--config", cfg, "--log", str(log),
                  "--out", str(rec_out), "--format", "ascii"]) == 0
-    valid_zones = sum(sum(r["valid"]) for r in read_log(log)
+    valid_zones = sum(sum(r["valid"]) for r in read_records(log)
                       if r["type"] == "tof")
     from hybridskin.analysis import load_ply
     cloud = load_ply(rec_out / "cloud.ply")
@@ -520,7 +520,7 @@ def test_reconstruct_reports_a_sensor_id_the_ply_cannot_hold(tmp_path, capsys):
     chain = json.loads((tmp_path / "chain.json").read_text())
     chain["mounts"][0]["site_id"] = 2 ** 32
     write_json(tmp_path / "chain.json", chain)
-    records = read_log(sim_out / "samples.jsonl")
+    records = read_records(sim_out / "samples.jsonl")
     for r in records:
         if r["type"] == "tof":
             r["sensor_id"] = 2 ** 32
@@ -585,7 +585,7 @@ def test_reconstruct_names_a_nan_frame_timestamp(tmp_path, capsys):
     cfg = wall_fixture(tmp_path, duration=1.0)
     sim_out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
-    records = read_log(sim_out / "samples.jsonl")
+    records = read_records(sim_out / "samples.jsonl")
     next(r for r in records if r["type"] == "tof")["t"] = float("nan")
     log = tmp_path / "nan.jsonl"
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -659,7 +659,13 @@ def with_bad_line(log, bad, at=5):
     ('{"type":"sc","t":0.5,"counts":1000}', "no 'site_id' field"),
     ("[1,2]", "not a JSON object"),
     ('{"type":"sc","site_id":0,"t":"x","counts":1000}', "could not convert"),
-], ids=["no_site_id", "not_an_object", "string_t"])
+    ('{"type":"sc","site_id":0,"t":NaN,"counts":1000}', "t must be finite"),
+    ('{"type":"sc","site_id":0,"t":Infinity,"counts":1000}', "t must be finite"),
+    ('{"type":"sc","site_id":0,"t":0.5,"counts":1618.7}', "counts must be an integer"),
+    ('{"type":"sc","site_id":0,"t":0.5,"counts":true}', "counts must be an integer"),
+    ('{"type":"sc","site_id":6.5,"t":0.5,"counts":1000}', "site_id must be an integer"),
+], ids=["no_site_id", "not_an_object", "string_t", "nan_t", "infinite_t", "float_counts",
+        "boolean_counts", "float_site_id"])
 def test_snr_names_the_line_of_a_malformed_record(tmp_path, capsys, bad, reason):
     log, labels = synth_snr_log(tmp_path)
     assert main(["snr", "--log", with_bad_line(log, bad), "--labels", labels,
@@ -680,7 +686,12 @@ def tof_line(**fields):
     (tof_line(sensor_id=None), "no 'sensor_id' field"),
     (tof_line(t="x"), "could not convert"),
     (tof_line(d=[1.0], valid=[True]), "1 zones, expected 64"),
-], ids=["not_an_object", "no_sensor_id", "string_t", "wrong_zone_count"])
+    (tof_line(sensor_id=0.0), "sensor_id must be an integer"),
+    (tof_line(valid=[1] + [0] * 63, d=[1.0] + [None] * 63), "valid[0] must be true or false"),
+    (tof_line(valid=[True] + [False] * 63, d=[float("nan")] + [None] * 63),
+     "zone 0 is valid but its d is NaN"),
+], ids=["not_an_object", "no_sensor_id", "string_t", "wrong_zone_count", "float_sensor_id",
+        "integer_valid", "valid_nan_d"])
 def test_reconstruct_names_the_line_of_a_malformed_record(tmp_path, capsys, bad, reason):
     cfg = wall_fixture(tmp_path, duration=1.0)
     sim_out = tmp_path / "sim"
@@ -692,6 +703,78 @@ def test_reconstruct_names_the_line_of_a_malformed_record(tmp_path, capsys, bad,
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "ValueError"
     assert error["message"].startswith("log line 5: ") and reason in error["message"]
+
+
+def test_a_log_line_that_is_not_json_exits_3_naming_it(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path, duration=1.0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    log = with_bad_line(sim_out / "samples.jsonl", '{"type":"sc",')
+    labels = write_json(tmp_path / "labels.json", {"labels": []})
+    for argv in (["reconstruct", "--config", cfg], ["snr", "--labels", labels]):
+        capsys.readouterr()
+        assert main(argv + ["--log", log, "--out", str(tmp_path / "o")]) == 3
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == "JSONDecodeError"
+        assert error["message"].startswith("log line 5: Expecting property name")
+
+
+@pytest.mark.parametrize("intervals", [
+    [[float("nan"), 1.0, "INACTIVE"]], [[0.0, float("nan"), "INACTIVE"]],
+    [[0.0, 1.0, "INACTIVE"], [float("nan"), 2.0, "ACTIVE_REST"]],
+    [[0.0, float("inf"), "INACTIVE"]],
+], ids=["nan_start", "nan_end", "nan_second_interval", "infinite_end"])
+def test_snr_rejects_a_non_finite_label_bound(tmp_path, capsys, intervals):
+    log, _ = synth_snr_log(tmp_path)
+    labels = write_json(tmp_path / "bad_labels.json",
+                        {"labels": [{"site_id": 0, "intervals": intervals}]})
+    capsys.readouterr()
+    assert main(["snr", "--log", log, "--labels", labels, "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError" and "non-finite bound" in error["message"]
+
+
+def test_snr_rejects_a_site_labelled_twice(tmp_path, capsys):
+    log, _ = synth_snr_log(tmp_path)
+    entry = {"site_id": 0, "intervals": [[0.0, 1.0, "INACTIVE"]]}
+    labels = write_json(tmp_path / "twice.json", {"labels": [entry, dict(entry, site_id=1),
+                                                             entry]})
+    capsys.readouterr()
+    assert main(["snr", "--log", log, "--labels", labels, "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {"error": "ValueError", "message": "labels list site 0 twice"}
+
+
+def load_tracer():
+    """The benchmark's tracer module, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_trace_sees_the_log_layer(tmp_path):
+    cfg = wall_fixture(tmp_path, duration=1.0)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    log = sim_out / "samples.jsonl"
+    n_lines = log.read_bytes().count(b"\n")
+    assert n_lines > 12
+    labels = write_json(tmp_path / "labels.json", {"labels": [
+        {"site_id": 0, "intervals": [[0.0, 0.5, "INACTIVE"], [0.5, 1.0, "ACTIVE_REST"]]}]})
+    tracer = load_tracer()
+    for argv in (["reconstruct", "--config", cfg], ["snr", "--labels", labels]):
+        probes = tracer.Tracer()
+        probes.install()
+        try:
+            assert main(argv + ["--log", str(log), "--out", str(tmp_path / argv[0])]) == 0
+        finally:
+            probes.remove()
+        metrics = probes.metrics()
+        assert metrics[f"cli.{argv[0]}_s"] > 0
+        assert metrics["logs.read_s"] > 0 and metrics["logs.decode_s"] > 0
+        assert metrics["logs.records_read"] == n_lines
 
 
 def test_blank_log_lines_are_skipped(tmp_path):
