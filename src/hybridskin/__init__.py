@@ -25,9 +25,8 @@ from .layout import (MountSpec, RingSpec, SkinAssembly, SurfaceSite,
 from .mesh import Material, TriMesh, validate_mesh
 from .raycast import Bvh, Ray, TriangleSet
 from .sc import (ElectrodeModel, InterferenceCalibration, MeasurementSpec,
-                 ScSample, TableModel, calibrate_interference, capacitance,
-                 fit_snr_table, measure_counts, schedule_streams)
-from .tof import (NO_TARGET, ToFFrame, ToFSpec, capture_frame, capture_frames,
-                  zone_rays)
+                 TableModel, calibrate_interference, capacitance, fit_snr_table,
+                 measure_counts, schedule_streams)
+from .tof import NO_TARGET, ToFSpec, capture_frame, capture_frames, zone_rays
 
 __version__ = "0.1.0"

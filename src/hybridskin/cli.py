@@ -142,6 +142,8 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     trajectory = load_trajectory(sim["trajectory"])
     scene = load_scene(sim["scene"])
     duration = float(sim["duration"])
+    if not np.isfinite(duration):
+        raise ValueError(f"config simulation.duration must be finite, not {duration}")
 
     tof_spec = cfgmod.build_tof_spec(cfg)
     meas = cfgmod.build_measurement_spec(cfg)
@@ -161,19 +163,16 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     # and one distance pass measures every sample.
     streams = [sc.schedule_streams(duration, meas, np.random.default_rng([cfg["seed"], 0, k]))
                for k in range(len(mounts))]
+    lengths = [len(stream) for stream in streams]
     times = np.concatenate(streams)
     owners = [mount for mount, stream in zip(mounts, streams) for _ in stream]
     positions = mount_poses(chain, trajectory.value_at(times), owners).translation
     capacitances = sc.contact_capacitance(electrode,
                                           _conductive_distances(scene, times, positions))
-    records = []
-    stop = 0
-    for k, (mount, stream) in enumerate(zip(mounts, streams)):
-        start, stop = stop, stop + len(stream)
-        counts = sc.measure_counts(capacitances[start:stop], meas, tof_active,
-                                   np.random.default_rng([cfg["seed"], 1, k]))
-        records += [logs.sc_record(sc.ScSample(mount.site_id, t, n))
-                    for t, n in zip(stream.tolist(), counts.tolist())]
+    counts = [sc.measure_counts(c, meas, tof_active, np.random.default_rng([cfg["seed"], 1, k]))
+              for k, c in enumerate(np.split(capacitances, np.cumsum(lengths)[:-1]))]
+    sc_table = logs.ScTable(np.repeat([m.site_id for m in mounts], lengths), times,
+                            np.concatenate(counts))
 
     # ToF frames are strictly periodic and shared by every mount. One forward
     # pass poses every mount at every frame time.
@@ -181,21 +180,20 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
                 for stream_idx in range(len(mounts))]
     frame_times = tof.frame_times(duration, tof_spec)
     frame_poses = mount_poses(chain, trajectory.value_at(frame_times)[:, None, :], mounts)
-    records.extend(logs.tof_record(f) for f in _tof_frames(
-        scene, [m.site_id for m in mounts], frame_times, frame_poses, tof_spec, tof_rngs))
+    tof_table = _tof_frames(scene, [m.site_id for m in mounts], frame_times, frame_poses,
+                            tof_spec, tof_rngs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    logs.write_log(out_dir / "samples.jsonl", logs.merge_records(records))
+    logs.write_log(out_dir / "samples.jsonl", logs.log_lines(sc_table, tof_table))
     cfgmod.write_resolved_config(cfg, out_dir)
-    n_sc = sum(1 for r in records if r["type"] == "sc")
-    n_tof = len(records) - n_sc
     print(f"simulated {duration} s over {len(mounts)} nodule(s): "
-          f"{n_sc} sc record(s), {n_tof} tof frame(s)")
+          f"{len(times)} sc record(s), {len(tof_table)} tof frame(s)")
     return EXIT_OK
 
 
-def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs):
-    """Every sensor's frame at every time, time-major; poses is (times, sensors).
+def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> logs.ToFTable:
+    """Every sensor's frame at every time as one capture_frames table, rows
+    time-major; poses is (times, sensors).
 
     The scene is cast in two levels. One Bvh over the static objects serves
     the whole run, and each block of whole frame times, at most _TOF_RAYS
@@ -204,26 +202,30 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs):
     distance. A frame takes only the distance and whether anything was hit,
     and a (ray, triangle) pair gives the same t in either Bvh, so the frames
     are those of one Bvh over the whole posed scene at each time. No Bvh
-    outlives the call.
+    outlives the call. One capture_frames call over every time adds the
+    noise, the same draws as one call per block.
     """
     static = Bvh(TriangleSet.from_meshes([obj.mesh for obj in scene.objects
                                           if not obj.keyframes]))
     moving = [bool(obj.keyframes) for obj in scene.objects]
     per_time = len(sensor_ids) * spec.nx * spec.ny
     step = max(1, _TOF_RAYS // per_time)
+    dist = np.empty(len(times) * per_time)
+    hit = np.empty(len(dist), dtype=bool)
     for start in range(0, len(times), step):
-        block = times[start:start + step].tolist()
         origins, directions = tof.zone_rays(poses[start:start + step], spec)
-        dist, idx = static.raycast_many(origins, directions, spec.max_range)
-        hit = idx >= 0
-        for j, t in enumerate(block):
+        block = slice(start * per_time, start * per_time + len(origins))
+        dist[block], idx = static.raycast_many(origins, directions, spec.max_range)
+        hit[block] = idx >= 0
+        for j, t in enumerate(times[start:start + step].tolist()):
             movers = [m for (m, _), move in zip(scene.at(t), moving) if move]
-            rows = slice(j * per_time, (j + 1) * per_time)
+            rays = slice(j * per_time, (j + 1) * per_time)
+            rows = slice((start + j) * per_time, (start + j + 1) * per_time)
             t_mov, idx_mov = Bvh(TriangleSet.from_meshes(movers)).raycast_many(
-                origins[rows], directions[rows], spec.max_range)
+                origins[rays], directions[rays], spec.max_range)
             dist[rows] = np.minimum(dist[rows], t_mov)
             hit[rows] |= idx_mov >= 0
-        yield from tof.capture_frames(sensor_ids, block, dist, hit, spec, rngs)
+    return tof.capture_frames(sensor_ids, times, dist, hit, spec, rngs)
 
 
 def _conductive_distances(scene: Scene, times, points):
@@ -279,13 +281,18 @@ def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
 # ---------------------------------------------------------------------------
 
 def load_labels(path):
+    """Site id -> ActivityLabel of a labels file. Ids and bounds are typed as
+    in the log; a fault raises ValueError naming its entry."""
     data = json.loads(Path(path).read_text())
     out = {}
-    for entry in data.get("labels", []):
-        label = analysis.ActivityLabel(
-            site_id=int(entry["site_id"]),
-            intervals=[(float(t0), float(t1), state)
-                       for t0, t1, state in entry["intervals"]])
+    for k, entry in enumerate(data.get("labels", [])):
+        try:
+            label = analysis.ActivityLabel(
+                site_id=logs._integer(entry, "site_id"),
+                intervals=[(logs._number(t0), logs._number(t1), state)
+                           for t0, t1, state in logs._field(entry, "intervals")])
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"labels entry {k}: {exc}") from None
         if label.site_id in out:
             raise ValueError(f"labels list site {label.site_id} twice")
         out[label.site_id] = label

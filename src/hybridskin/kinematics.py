@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .geometry import _rowdot
+from .logs import _integer
 from .mesh import TriMesh
 
 QUAT_TOL = 1e-9
@@ -401,7 +402,7 @@ def load_chain(path) -> KinematicChain:
               for j in data["joints"]]
     mounts = [SensorMount(link_index=int(m["link"]),
                           local=_pose_from_dict(m.get("local", {})),
-                          site_id=int(m["site_id"]))
+                          site_id=_integer(m, "site_id"))
               for m in data.get("mounts", [])]
     return KinematicChain(joints=joints, sensor_mounts=mounts,
                           links=data.get("links"))

@@ -8,15 +8,19 @@ One chronologically merged file holds both record types:
 ToF zone order is row-major (index = i * ny + j); NO_TARGET encodes as
 null. Ties in the merge order resolve sc-before-tof, then by id.
 
+The log is written from, and read back into, two column tables: an ScTable
+of the SC records and a ToFTable of the ToF records. log_lines merges the
+two tables into the file's lines, each key in sorted order and every float
+as its repr, and write_log writes them.
+
 read_log returns the file's lines, so record k is line k + 1, and the two
-decoders turn them into column tables: an ScTable of the SC records and a
-ToFTable of the ToF records. Each decoder reads the lines in order and
-raises ValueError naming the first malformed line; a line that is not JSON
-raises json.JSONDecodeError naming it. A value must have its field's type:
-integer ids and counts, number times, number-or-null distances and
-boolean valid flags. SC times and the distance of a valid zone must also
+decoders turn them back into the tables. Each decoder reads the lines in
+order and raises ValueError naming the first malformed line; a line that is
+not JSON raises json.JSONDecodeError naming it. A value must have its
+field's type: integer ids and counts, number times, number-or-null
+distances and boolean valid flags. SC times and the distance of a valid zone must also
 be finite; a ToF time is checked against the trajectory by reconstruct.
-A canonical SC line, as write_log writes it, is decoded (or skipped) by
+A canonical SC line, as log_lines writes it, is decoded (or skipped) by
 one anchored regex instead of json.loads.
 """
 
@@ -26,54 +30,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-
-from .sc import ScSample
-from .tof import ToFFrame
-
-
-def sc_record(sample: ScSample) -> dict:
-    return {"type": "sc", "site_id": int(sample.site_id),
-            "t": float(sample.timestamp), "counts": int(sample.counts)}
-
-
-def tof_record(frame: ToFFrame) -> dict:
-    flat_d = frame.distances.reshape(-1)
-    flat_v = frame.valid.reshape(-1)
-    return {
-        "type": "tof",
-        "sensor_id": int(frame.sensor_id),
-        "t": float(frame.timestamp),
-        "d": [float(d) if v else None for d, v in zip(flat_d, flat_v)],
-        "valid": [bool(v) for v in flat_v],
-    }
-
-
-def _merge_key(record):
-    stream = 0 if record["type"] == "sc" else 1
-    rid = record.get("site_id", record.get("sensor_id", 0))
-    return (record["t"], stream, rid)
-
-
-def merge_records(records) -> list:
-    """Chronological order with the stable sc-before-tof tie break."""
-    return sorted(records, key=_merge_key)
-
-
-def encode_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
-
-
-def write_log(path, records):
-    with open(path, "w") as f:
-        for r in records:
-            f.write(encode_record(r) + "\n")
-
-
-def read_log(path) -> list:
-    """The file's lines as file iteration splits them: record k is line k + 1."""
-    with open(path) as f:
-        return f.readlines()
 
 
 @dataclass
@@ -96,7 +52,41 @@ class ToFTable:
         return len(self.times)
 
 
-# An SC record exactly as encode_record writes it: the keys sorted, no
+def log_lines(sc: ScTable, tof: ToFTable) -> list:
+    """The log of both tables as its lines, each with its newline.
+
+    One stable lexsort merges the rows by (t, stream, id), SC before ToF at a
+    tie, so rows that share all three keep their table order. Every float is
+    written as its repr, which is also json's text for it.
+    """
+    times = np.concatenate([sc.times, tof.times])
+    if not np.isfinite(times).all():
+        raise ValueError("log times must be finite")
+    order = np.lexsort((np.concatenate([sc.site_ids, tof.sensor_ids]),
+                        np.repeat([0, 1], [len(sc.times), len(tof.times)]), times))
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    lines = [f'{{"counts":{n},"site_id":{i},"t":{t!r},"type":"sc"}}\n'
+             for i, t, n in zip(sc.site_ids.tolist(), sc.times.tolist(), sc.counts.tolist())]
+    lines += [f'{{"d":{encode(d)},"sensor_id":{i},"t":{t!r},"type":"tof","valid":{encode(v)}}}\n'
+              for d, i, t, v in zip(np.where(tof.valid, tof.distances, None).tolist(),
+                                    tof.sensor_ids.tolist(), tof.times.tolist(),
+                                    tof.valid.tolist())]
+    return [lines[k] for k in order.tolist()]
+
+
+def write_log(path, lines):
+    """Writes log_lines' lines."""
+    with open(path, "w") as f:
+        f.writelines(lines)
+
+
+def read_log(path) -> list:
+    """The file's lines as file iteration splits them: record k is line k + 1."""
+    with open(path) as f:
+        return f.readlines()
+
+
+# An SC line exactly as log_lines writes it: the keys sorted, no
 # spaces, integers without leading zeros and of at most 18 digits (so they
 # fit int64), and a time as repr writes a float, with a fraction or an
 # exponent, at most 16 digits before the point and an exponent of at most
@@ -148,8 +138,7 @@ def _integer(record, key):
     return value
 
 
-def _number(record, key):
-    value = _field(record, key)
+def _number(value):
     if type(value) not in (int, float):
         raise ValueError(f"could not convert {_JSON_TYPES[type(value)]} to float: {value!r}")
     return float(value)
@@ -173,7 +162,7 @@ def sc_samples_from_records(lines) -> ScTable:
             if record.get("type") != "sc":
                 continue
             try:
-                site_id, t, n = (_integer(record, "site_id"), _number(record, "t"),
+                site_id, t, n = (_integer(record, "site_id"), _number(_field(record, "t")),
                                  _integer(record, "counts"))
                 if not math.isfinite(t):
                     raise ValueError(f"t must be finite, not {t}")
@@ -223,7 +212,7 @@ def tof_frames_from_records(lines, nx=8, ny=8) -> ToFTable:
                 if {*map(type, v)} != {bool}:
                     zone = next(k for k, x in enumerate(v) if type(x) is not bool)
                     raise ValueError(f"valid[{zone}] must be true or false, not {v[zone]!r}")
-                row = _integer(record, "sensor_id"), _number(record, "t")
+                row = _integer(record, "sensor_id"), _number(_field(record, "t"))
             except (OverflowError, ValueError) as exc:
                 raise ValueError(f"log line {number}: {exc}") from None
             sensor_ids.append(row[0])

@@ -88,17 +88,6 @@ class MeasurementSpec:
         return self.count_noise
 
 
-@dataclass(frozen=True)
-class ScSample:
-    site_id: int
-    timestamp: float
-    counts: int
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be >= 0")
-
-
 def capacitance(model: ElectrodeModel, object_distance=None) -> float:
     """Electrode capacitance given the nearest conductive object's distance.
 

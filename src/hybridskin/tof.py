@@ -8,8 +8,8 @@ range report NO_TARGET (NaN distance, valid=False).
 zone_rays is the one definition of where each zone looks: the caster casts
 along it and analysis.reconstruct back-projects along it. capture_frames
 turns the cast distances and hit mask of a block of frame times, every
-sensor at each, into frames with noise; capture_frame casts one sensor's
-zone rays through a Bvh and is its one-frame case.
+sensor at each, into one ToFTable of frames with noise; capture_frame
+casts one sensor's zone rays through a Bvh and is its one-frame case.
 """
 
 import functools
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import Pose, quat_to_matrix
+from .logs import ToFTable
 from .raycast import Bvh
 
 NO_TARGET = float("nan")
@@ -44,20 +45,6 @@ class ToFSpec:
             raise ValueError("max_range and rate must be > 0")
         if self.range_noise_sigma < 0.0:
             raise ValueError("range_noise_sigma must be >= 0")
-
-
-@dataclass
-class ToFFrame:
-    sensor_id: int
-    timestamp: float
-    distances: np.ndarray  # (nx, ny), NaN where no target
-    valid: np.ndarray      # (nx, ny) bool
-
-    def __post_init__(self):
-        self.distances = np.asarray(self.distances, dtype=np.float64)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.distances.shape != self.valid.shape:
-            raise ValueError("distances and valid grids must have the same shape")
 
 
 def zone_angles(i: int, j: int, spec: ToFSpec):
@@ -103,8 +90,9 @@ def zone_rays(poses: Pose, spec: ToFSpec):
     return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
 
 
-def capture_frames(sensor_ids, times, dist, hit, spec: ToFSpec, rngs):
-    """One frame per sensor per time, time-major, from cast zone distances.
+def capture_frames(sensor_ids, times, dist, hit, spec: ToFSpec, rngs) -> ToFTable:
+    """One frame per sensor per time, from cast zone distances: a ToFTable
+    whose row j * len(sensor_ids) + k is sensor k at times[j].
 
     dist and hit are the distances and hit mask of the zone_rays of the
     (times, sensors) pose stack, len(times) * len(sensor_ids) * nx * ny rows.
@@ -115,26 +103,28 @@ def capture_frames(sensor_ids, times, dist, hit, spec: ToFSpec, rngs):
     """
     if len(sensor_ids) != len(rngs):
         raise ValueError("capture_frames needs one rng per sensor")
-    shape = (len(times), len(sensor_ids), spec.nx, spec.ny)
+    n_zones = spec.nx * spec.ny
+    shape = (len(times), len(sensor_ids), n_zones)
     valid = np.asarray(hit, dtype=bool).reshape(shape)
     dist = np.asarray(dist, dtype=np.float64).reshape(shape)
     if spec.range_noise_sigma > 0.0 and len(rngs):
-        noise = np.stack([rng.normal(0.0, spec.range_noise_sigma, size=(len(times),) + shape[2:])
+        noise = np.stack([rng.normal(0.0, spec.range_noise_sigma, size=(len(times), n_zones))
                           for rng in rngs], axis=1)
         dist = dist + noise
     d = np.minimum(np.maximum(dist, _MIN_DISTANCE), spec.max_range)
-    d = np.where(valid, d, NO_TARGET)
-    return [ToFFrame(sensor_id=sensor_id, timestamp=float(t), distances=d[j, k],
-                     valid=valid[j, k])
-            for j, t in enumerate(times) for k, sensor_id in enumerate(sensor_ids)]
+    return ToFTable(np.tile(np.asarray(sensor_ids, dtype=np.int64), len(times)),
+                    np.repeat(np.asarray(times, dtype=np.float64), len(sensor_ids)),
+                    np.where(valid, d, NO_TARGET).reshape(-1, n_zones),
+                    valid.reshape(-1, n_zones))
 
 
 def capture_frame(sensor_id: int, sensor_pose: Pose, bvh: Bvh, t: float,
-                  spec: ToFSpec, rng: np.random.Generator) -> ToFFrame:
-    """One sensor's frame, its zone rays cast through bvh; see capture_frames."""
+                  spec: ToFSpec, rng: np.random.Generator) -> ToFTable:
+    """One sensor's frame, its zone rays cast through bvh, as a one-row
+    ToFTable; see capture_frames."""
     origins, directions = zone_rays(sensor_pose[None], spec)
     dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
-    return capture_frames([sensor_id], [t], dist, idx >= 0, spec, [rng])[0]
+    return capture_frames([sensor_id], [t], dist, idx >= 0, spec, [rng])
 
 
 def frame_times(duration: float, spec: ToFSpec):

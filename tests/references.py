@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import struct
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,35 @@ from hybridskin.logs import ToFTable
 from hybridskin.mesh import (DEGENERATE_AREA, Finding, Material, TriMesh,
                              ValidationReport)
 from hybridskin.raycast import Bvh, Ray, TriangleSet, _intersect_rows, point_mesh_distance
-from hybridskin.sc import ScSample, expected_counts
-from hybridskin.tof import NO_TARGET, ToFFrame, ToFSpec, zone_direction_local, zone_rays
+from hybridskin.sc import expected_counts
+from hybridskin.tof import NO_TARGET, ToFSpec, zone_direction_local, zone_rays
+
+
+@dataclass(frozen=True)
+class ScSample:
+    """One SC record."""
+    site_id: int
+    timestamp: float
+    counts: int
+
+    def __post_init__(self):
+        if self.counts < 0:
+            raise ValueError("counts must be >= 0")
+
+
+@dataclass
+class ToFFrame:
+    """One ToF record: a sensor's (nx, ny) zone grid at one time."""
+    sensor_id: int
+    timestamp: float
+    distances: np.ndarray  # (nx, ny), NaN where no target
+    valid: np.ndarray      # (nx, ny) bool
+
+    def __post_init__(self):
+        self.distances = np.asarray(self.distances, dtype=np.float64)
+        self.valid = np.asarray(self.valid, dtype=bool)
+        if self.distances.shape != self.valid.shape:
+            raise ValueError("distances and valid grids must have the same shape")
 
 
 def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
@@ -334,6 +362,19 @@ def reconstruct_frames(frames, chain, trajectory, spec: ToFSpec) -> PointCloud:
                       np.repeat([f.timestamp for f in frames], counts))
 
 
+def tof_frames(table: ToFTable, nx=8, ny=8) -> list:
+    """One ToFFrame per row of a ToFTable of an nx x ny zone grid."""
+    return [ToFFrame(sensor_id, t, d.reshape(nx, ny), v.reshape(nx, ny))
+            for sensor_id, t, d, v in zip(table.sensor_ids.tolist(), table.times.tolist(),
+                                          table.distances, table.valid)]
+
+
+def stacked(tables) -> ToFTable:
+    """The rows of a list of ToFTables, in order, as one ToFTable."""
+    return ToFTable(*(np.concatenate([getattr(t, f.name) for t in tables])
+                      for f in fields(ToFTable)))
+
+
 def tof_table(frames) -> ToFTable:
     """The ToFTable of a list of ToFFrames of one zone grid."""
     frames = list(frames)
@@ -344,6 +385,43 @@ def tof_table(frames) -> ToFTable:
                              dtype=np.float64).reshape(-1, n_zones),
                     np.array([f.valid.reshape(-1) for f in frames],
                              dtype=bool).reshape(-1, n_zones))
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record log writing: the bit reference of logs.log_lines
+# ---------------------------------------------------------------------------
+
+def sc_record(sample: ScSample) -> dict:
+    return {"type": "sc", "site_id": int(sample.site_id),
+            "t": float(sample.timestamp), "counts": int(sample.counts)}
+
+
+def tof_record(frame: ToFFrame) -> dict:
+    flat_d = frame.distances.reshape(-1)
+    flat_v = frame.valid.reshape(-1)
+    return {
+        "type": "tof",
+        "sensor_id": int(frame.sensor_id),
+        "t": float(frame.timestamp),
+        "d": [float(d) if v else None for d, v in zip(flat_d, flat_v)],
+        "valid": [bool(v) for v in flat_v],
+    }
+
+
+def _merge_key(record):
+    stream = 0 if record["type"] == "sc" else 1
+    rid = record.get("site_id", record.get("sensor_id", 0))
+    return (record["t"], stream, rid)
+
+
+def merge_records(records) -> list:
+    """Chronological order with the stable sc-before-tof tie break."""
+    return sorted(records, key=_merge_key)
+
+
+def encode_record(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
                            schedule_streams)
 from hybridskin.tof import ToFSpec, capture_frame, frame_times
 from references import (raycast_brute_force, read_records,
-                        sphere_tessellation_for_chord_error, tof_table)
+                        sphere_tessellation_for_chord_error, stacked)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -137,7 +137,7 @@ def run_plane_capture(noise_sigma):
         for t in times:
             [pose] = mount_poses(chain, trajectory.value_at(float(t)), [mount])
             frames.append(capture_frame(sid, pose, caster, float(t), spec, rng))
-    cloud = reconstruct(tof_table(frames), chain, trajectory, spec)
+    cloud = reconstruct(stacked(frames), chain, trajectory, spec)
     return cloud
 
 

@@ -16,11 +16,11 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    mount_poses)
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
-from hybridskin.sc import ScSample, fit_snr_table
-from hybridskin.tof import ToFFrame, ToFSpec, capture_frame
-from references import (capture_frames_through, ply_binary_body_struct, raycast_brute_force,
-                        reconstruct_by_runs, reconstruct_frames, stack_poses,
-                        state_at_scalar, tof_table, zone_ray)
+from hybridskin.sc import fit_snr_table
+from hybridskin.tof import ToFSpec, capture_frame
+from references import (ScSample, ToFFrame, capture_frames_through, ply_binary_body_struct,
+                        raycast_brute_force, reconstruct_by_runs, reconstruct_frames,
+                        stack_poses, stacked, state_at_scalar, tof_table, zone_ray)
 
 SNR_TARGETS = {"no_covering": (120.0, 50.0), "covering_rest": (37.0, 13.0),
              "covering_squeeze": (45.0, 22.0)}
@@ -120,7 +120,7 @@ def test_single_frame_on_wall_fits_plane():
     frame = capture_frame(0, Pose.identity(),
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
-    cloud = reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
+    cloud = reconstruct(frame, static_chain(), constant_trajectory(), spec)
     assert len(cloud) == 64
     assert fit_plane_rms(cloud.points) < 1e-6
     assert np.allclose(cloud.points[:, 2], 2.0, atol=1e-9)
@@ -138,7 +138,7 @@ def test_point_provenance_distance_matches_log():
     frame = capture_frame(0, Pose.identity(),
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
-    cloud = reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
+    cloud = reconstruct(frame, static_chain(), constant_trajectory(), spec)
     logged = frame.distances[frame.valid].ravel()
     recon = np.linalg.norm(cloud.points, axis=1)  # sensor sits at the origin
     assert np.allclose(np.sort(recon), np.sort(logged), atol=1e-9)
@@ -157,7 +157,7 @@ def test_orbiting_sensor_covers_hidden_box_faces():
         t = k / 12.0
         [pose] = mount_poses(chain, traj.value_at(t), chain.sensor_mounts)
         frames.append(capture_frame(0, pose, caster, t, spec, rng))
-    cloud = reconstruct(tof_table(frames), chain, traj, spec)
+    cloud = reconstruct(stacked(frames), chain, traj, spec)
     assert len(cloud) > 500
     # every point sits on the box surface
     tris = TriangleSet(box.vertices, box.faces)
@@ -371,7 +371,7 @@ def test_unknown_sensor_raises():
                           Bvh(TriangleSet.from_meshes([wall])), 0.0, spec,
                           np.random.default_rng(0))
     with pytest.raises(UnknownSensorError):
-        reconstruct(tof_table([frame]), static_chain(), constant_trajectory(), spec)
+        reconstruct(frame, static_chain(), constant_trajectory(), spec)
 
 
 def test_frame_outside_trajectory_domain_raises():
@@ -381,7 +381,7 @@ def test_frame_outside_trajectory_domain_raises():
                           Bvh(TriangleSet.from_meshes([wall])), 99.0, spec,
                           np.random.default_rng(0))
     with pytest.raises(DomainError):
-        reconstruct(tof_table([frame]), static_chain(), constant_trajectory(duration=1.0),
+        reconstruct(frame, static_chain(), constant_trajectory(duration=1.0),
                     spec)
 
 

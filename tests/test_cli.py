@@ -10,8 +10,9 @@ from hybridskin import cli, meshio
 from hybridskin.cli import main
 from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from references import (capsule_mesh, conductive_distance_scalar, read_records,
-                        save_obj_by_line, save_stl_per_material_by_face, tof_frames_merged)
+from references import (capsule_mesh, conductive_distance_scalar, encode_record, read_records,
+                        save_obj_by_line, save_stl_per_material_by_face, tof_frames,
+                        tof_frames_merged)
 
 
 def write_json(path, payload):
@@ -165,6 +166,9 @@ def test_simulate_one_nodule_stream_counts(tmp_path):
     assert 40 <= len(sc) <= 44
     times = [r["t"] for r in records]
     assert times == sorted(times)
+    # snr decodes every SC line simulate writes by its regex, not json.loads
+    lines = (out / "samples.jsonl").read_text().splitlines(keepends=True)
+    assert sum(map(bool, map(cli.logs._SC_LINE.match, lines))) == len(sc)
 
 
 def test_simulate_zero_duration_writes_empty_log(tmp_path):
@@ -172,6 +176,33 @@ def test_simulate_zero_duration_writes_empty_log(tmp_path):
     out = tmp_path / "sim0"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert read_records(out / "samples.jsonl") == []
+
+
+@pytest.mark.parametrize("duration", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, duration):
+    # Unchecked, an infinite duration never ends the SC schedule's loop.
+    def unbounded(*args):
+        raise AssertionError("schedule_streams ran on a non-finite duration")
+    monkeypatch.setattr(cli.sc, "schedule_streams", unbounded)
+    cfg = wall_fixture(tmp_path)
+    assert main(["simulate", "--config", cfg, "--set", f"simulation.duration={duration}",
+                 "--out", str(tmp_path / "sim")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith("config simulation.duration must be finite")
+
+
+@pytest.mark.parametrize("site_id,reason", [
+    (2 ** 63, "site_id 9223372036854775808 does not fit in 64 bits"),
+    (6.5, "site_id must be an integer, not 6.5"),
+    ("3", "site_id must be an integer, not '3'"),
+])
+def test_simulate_rejects_a_chain_site_id_the_log_cannot_hold(tmp_path, capsys, site_id,
+                                                             reason):
+    cfg = wall_fixture(tmp_path, site_ids=(0, site_id))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {"error": "ValueError", "message": reason}
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -360,7 +391,8 @@ def two_level_against_merged(scene, times, poses, spec, sensor_ids=None):
     """The two-level cast and the merged-scene reference on fresh rng streams."""
     sensor_ids = sensor_ids or list(range(poses.rotation.shape[1]))
     rngs = lambda: [np.random.default_rng([5, k]) for k in range(len(sensor_ids))]
-    got = list(cli._tof_frames(scene, sensor_ids, times, poses, spec, rngs()))
+    got = tof_frames(cli._tof_frames(scene, sensor_ids, times, poses, spec, rngs()),
+                     spec.nx, spec.ny)
     assert_same_frames(got, tof_frames_merged(scene, sensor_ids, times, poses, spec, rngs()))
     return got
 
@@ -619,7 +651,7 @@ def synth_snr_log(tmp_path, site_ids=(0, 1)):
             t += 0.024
     log = tmp_path / "sc.jsonl"
     from hybridskin.logs import write_log
-    write_log(log, records)
+    write_log(log, [encode_record(r) + "\n" for r in records])
     labels = {"labels": [{
         "site_id": 0,
         "intervals": [[0.0, 300 * 0.024, "INACTIVE"],
@@ -734,6 +766,33 @@ def test_snr_rejects_a_non_finite_label_bound(tmp_path, capsys, intervals):
     assert error["error"] == "ValueError" and "non-finite bound" in error["message"]
 
 
+# Labels the synthetic log's two phases; int() and float() would accept
+# each value below, the log's own checks do not.
+PHASES = [[0.0, 300 * 0.024, "INACTIVE"], [300 * 0.024, 600 * 0.024, "ACTIVE_REST"]]
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ({"site_id": 6.5}, "site_id must be an integer, not 6.5"),
+    ({"site_id": True}, "site_id must be an integer, not True"),
+    ({"site_id": "1"}, "site_id must be an integer, not '1'"),
+    ({"intervals": [["0.5"] + PHASES[0][1:], PHASES[1]]},
+     "could not convert string to float: '0.5'"),
+    ({"intervals": [[0.0, True, "INACTIVE"], PHASES[1]]},
+     "could not convert boolean to float: True"),
+    ({"intervals": [[False] + PHASES[0][1:], PHASES[1]]},
+     "could not convert boolean to float: False"),
+], ids=["float_site_id", "boolean_site_id", "string_site_id", "string_bound",
+        "boolean_end", "boolean_start"])
+def test_snr_rejects_a_label_value_of_the_wrong_type(tmp_path, capsys, entry, reason):
+    log, _ = synth_snr_log(tmp_path)
+    labels = write_json(tmp_path / "typed.json", {"labels": [
+        {"site_id": 0, "intervals": PHASES}, {"site_id": 1, "intervals": PHASES, **entry}]})
+    capsys.readouterr()
+    assert main(["snr", "--log", log, "--labels", labels, "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {"error": "ValueError", "message": f"labels entry 1: {reason}"}
+
+
 def test_snr_rejects_a_site_labelled_twice(tmp_path, capsys):
     log, _ = synth_snr_log(tmp_path)
     entry = {"site_id": 0, "intervals": [[0.0, 1.0, "INACTIVE"]]}
@@ -757,13 +816,22 @@ def load_tracer():
 def test_the_benchmark_trace_sees_the_log_layer(tmp_path):
     cfg = wall_fixture(tmp_path, duration=1.0)
     sim_out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    tracer = load_tracer()
+    probes = tracer.Tracer()
+    probes.install()
+    try:
+        assert main(["simulate", "--config", cfg, "--out", str(sim_out)]) == 0
+    finally:
+        probes.remove()
     log = sim_out / "samples.jsonl"
     n_lines = log.read_bytes().count(b"\n")
     assert n_lines > 12
+    metrics = probes.metrics()
+    assert metrics["cli.simulate_s"] > 0 and metrics["logs.write_s"] > 0
+    assert metrics["logs.records_written"] == n_lines
+    assert metrics["logs.bytes_written"] == log.stat().st_size
     labels = write_json(tmp_path / "labels.json", {"labels": [
         {"site_id": 0, "intervals": [[0.0, 0.5, "INACTIVE"], [0.5, 1.0, "ACTIVE_REST"]]}]})
-    tracer = load_tracer()
     for argv in (["reconstruct", "--config", cfg], ["snr", "--labels", labels]):
         probes = tracer.Tracer()
         probes.install()

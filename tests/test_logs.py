@@ -4,82 +4,90 @@ import numpy as np
 import pytest
 
 from hybridskin import logs
-from hybridskin.logs import (encode_record, merge_records, read_log,
-                             sc_record, sc_samples_from_records, tof_record,
+from hybridskin.logs import (ScTable, ToFTable, log_lines, read_log, sc_samples_from_records,
                              tof_frames_from_records, write_log)
-from hybridskin.sc import ScSample
-from hybridskin.tof import ToFFrame
-from references import read_records, sc_samples_by_record, tof_frames_by_record
+from references import (ScSample, ToFFrame, encode_record, merge_records, read_records,
+                        sc_record, sc_samples_by_record, tof_frames, tof_frames_by_record,
+                        tof_record)
 
 
-def sample_frame(sensor_id=0, t=0.0):
-    d = np.full((8, 8), np.nan)
-    v = np.zeros((8, 8), dtype=bool)
-    d[0, 0] = 1.25
-    v[0, 0] = True
-    d[7, 7] = 3.5
-    v[7, 7] = True
-    return ToFFrame(sensor_id=sensor_id, timestamp=t, distances=d, valid=v)
+def sc_table(*rows):
+    """An ScTable of (site_id, t, counts) rows."""
+    ids, times, counts = zip(*rows) if rows else ((), (), ())
+    return ScTable(np.array(ids, dtype=np.int64), np.array(times, dtype=np.float64),
+                   np.array(counts, dtype=np.int64))
+
+
+def sample_frames(*keys):
+    """A ToFTable of (sensor_id, t) rows, each with zone 0 at 1.25 m, zone 63
+    at 3.5 m and no target in the others."""
+    ids, times = zip(*keys) if keys else ((), ())
+    d = np.full((len(keys), 64), np.nan)
+    d[:, 0], d[:, 63] = 1.25, 3.5
+    return ToFTable(np.array(ids, dtype=np.int64), np.array(times, dtype=np.float64), d,
+                    ~np.isnan(d))
+
+
+NO_SC, NO_TOF = sc_table(), sample_frames()
+
+
+def assert_same_tables(got, want):
+    assert type(got) is type(want)
+    for column, value in vars(want).items():
+        assert getattr(got, column).dtype == value.dtype
+        assert np.array_equal(getattr(got, column), value, equal_nan=value.dtype.kind == "f")
 
 
 def test_no_target_encodes_as_null():
-    rec = tof_record(sample_frame())
-    assert rec["d"][0] == 1.25
-    assert rec["d"][1] is None
-    assert rec["valid"][0] is True
-    line = encode_record(rec)
-    assert "NaN" not in line
-    assert json.loads(line)["d"][1] is None
+    [line] = log_lines(NO_SC, sample_frames((0, 0.0)))
+    record = json.loads(line)
+    assert record["d"][0] == 1.25 and record["d"][1] is None and record["d"][63] == 3.5
+    assert record["valid"][0] is True and record["valid"][1] is False
+    assert "NaN" not in line and line.endswith("}\n")
 
 
 def test_merge_orders_by_time_with_sc_before_tof():
-    records = [
-        tof_record(sample_frame(sensor_id=1, t=0.5)),
-        sc_record(ScSample(2, 0.5, 100)),
-        sc_record(ScSample(0, 0.25, 99)),
-        tof_record(sample_frame(sensor_id=0, t=0.1)),
-        sc_record(ScSample(1, 0.5, 101)),
-    ]
-    merged = merge_records(records)
-    keys = [(r["t"], r["type"], r.get("site_id", r.get("sensor_id"))) for r in merged]
+    lines = log_lines(sc_table((2, 0.5, 100), (0, 0.25, 99), (1, 0.5, 101)),
+                      sample_frames((1, 0.5), (0, 0.1)))
+    keys = [(r["t"], r["type"], r.get("site_id", r.get("sensor_id")))
+            for r in map(json.loads, lines)]
     assert keys == [(0.1, "tof", 0), (0.25, "sc", 0), (0.5, "sc", 1),
                     (0.5, "sc", 2), (0.5, "tof", 1)]
 
 
 def test_log_round_trip(tmp_path):
-    records = merge_records([
-        sc_record(ScSample(0, 0.0, 1600)),
-        tof_record(sample_frame(t=1 / 12)),
-        sc_record(ScSample(0, 0.024, 1601)),
-    ])
+    sc, tof = sc_table((0, 0.0, 1600), (0, 0.024, 1601)), sample_frames((0, 1 / 12))
     path = tmp_path / "log.jsonl"
-    write_log(path, records)
+    write_log(path, log_lines(sc, tof))
     lines = read_log(path)
-    assert [json.loads(line) for line in lines] == records
-
-    samples = sc_samples_from_records(lines)
-    assert samples.counts.tolist() == [1600, 1601]
-    assert samples.times.tolist() == [0.0, 0.024]
-    frames = tof_frames_from_records(lines)
-    assert len(frames) == 1
-    assert frames.valid.sum() == 2
-    assert frames.distances[0, 0] == 1.25
-    assert np.isnan(frames.distances[0, 3 * 8 + 3])
+    assert [json.loads(line)["type"] for line in lines] == ["sc", "sc", "tof"]
+    assert_same_tables(sc_samples_from_records(lines), sc)
+    assert_same_tables(tof_frames_from_records(lines), tof)
 
 
 def test_log_bytes_are_deterministic(tmp_path):
-    records = merge_records([sc_record(ScSample(0, 0.1, 42)),
-                             tof_record(sample_frame(t=0.2))])
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_log(p1, records)
-    write_log(p2, records)
+    for path in (p1, p2):
+        write_log(path, log_lines(sc_table((0, 0.1, 42)), sample_frames((0, 0.2))))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_empty_log(tmp_path):
     path = tmp_path / "empty.jsonl"
-    write_log(path, [])
-    assert read_log(path) == []
+    write_log(path, log_lines(NO_SC, NO_TOF))
+    assert path.stat().st_size == 0 and read_log(path) == []
+
+
+def test_log_lines_reject_what_json_cannot_hold():
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="log times must be finite"):
+            log_lines(sc_table((0, t, 1)), NO_TOF)
+        with pytest.raises(ValueError, match="log times must be finite"):
+            log_lines(NO_SC, sample_frames((0, t)))
+    frame = sample_frames((0, 0.5))
+    frame.distances[0, 0] = np.nan
+    with pytest.raises(ValueError, match="Out of range float values"):
+        log_lines(NO_SC, frame)
 
 
 def test_blank_lines_keep_record_k_on_line_k_plus_1(tmp_path):
@@ -91,6 +99,82 @@ def test_blank_lines_keep_record_k_on_line_k_plus_1(tmp_path):
     assert sc_samples_from_records(lines[:3]).counts.tolist() == [5]
     with pytest.raises(ValueError, match="^log line 4: counts must be >= 0$"):
         sc_samples_from_records(lines)
+
+
+# ---------------------------------------------------------------------------
+# log_lines against the record-by-record writer
+# ---------------------------------------------------------------------------
+
+# Times that collide across streams and ids, signed zeros, and floats whose
+# repr has an exponent: below 1e-4, from 1e16 on, and of one to three digits.
+TIMES = [0.0, -0.0, 0.5, 1 / 12, 2.0, -7.25, 1e-05, 3e-07, 5e-324, 1e-99,
+         np.nextafter(1e-99, 0.0), 1e16, 2.5e+99, np.nextafter(1e100, 0.0), 1e100]
+IDS = [0, 1, 2, 39, -1, -2 ** 62, 2 ** 62, 10 ** 18 - 1, 10 ** 18]
+
+
+def random_tables(rng, n_sc, n_tof, nx=8, ny=8):
+    """Tables whose rows draw times and ids from small pools, so that many
+    rows tie on (t, stream, id); a third of the frames see nothing and a
+    third see every zone."""
+    sc = ScTable(rng.choice(IDS, n_sc), rng.choice(TIMES, n_sc),
+                 rng.choice([0, 1, 1600, 2 ** 62, 10 ** 18 - 1, 10 ** 18], n_sc))
+    valid = rng.random((n_tof, nx * ny)) < rng.choice([0.0, 0.5, 1.0], (n_tof, 1))
+    d = rng.uniform(0.0, 4.0, valid.shape) * rng.choice([1.0, 1e-5], valid.shape)
+    return sc, ToFTable(rng.choice(IDS, n_tof), rng.choice(TIMES, n_tof),
+                        np.where(valid, d, np.nan), valid)
+
+
+def reference_lines(sc, tof, nx=8, ny=8):
+    """merge_records and encode_record of the tables' records."""
+    records = [sc_record(ScSample(i, t, n)) for i, t, n in
+               zip(sc.site_ids.tolist(), sc.times.tolist(), sc.counts.tolist())]
+    records += [tof_record(frame) for frame in tof_frames(tof, nx, ny)]
+    return [encode_record(r) + "\n" for r in merge_records(records)]
+
+
+@pytest.mark.parametrize("n_sc,n_tof", [(400, 300), (400, 0), (0, 300), (1, 1), (0, 0)],
+                         ids=["both", "sc_only", "tof_only", "one_each", "empty"])
+def test_log_lines_equal_the_record_writer(n_sc, n_tof):
+    rng = np.random.default_rng(n_sc + 7 * n_tof)
+    sc, tof = random_tables(rng, n_sc, n_tof)
+    lines = log_lines(sc, tof)
+    assert lines == reference_lines(sc, tof)
+    if n_sc + n_tof > 2:  # ties on every key, so the merge had to be stable
+        keys = [(r["t"], r["type"], r.get("site_id", r.get("sensor_id")))
+                for r in map(json.loads, lines)]
+        assert len(set(keys)) < len(keys)
+    if n_tof > 2:
+        assert not tof.valid.all(axis=1).all() and not tof.valid.any(axis=1).all()
+
+
+def test_log_lines_of_another_zone_grid_equal_the_record_writer():
+    sc, tof = random_tables(np.random.default_rng(4), 50, 50, nx=4, ny=3)
+    assert log_lines(sc, tof) == reference_lines(sc, tof, nx=4, ny=3)
+
+
+def test_log_lines_keep_the_table_order_of_rows_with_one_key():
+    sc = sc_table(*[(3, 0.5, n) for n in (5, 1, 4, 2)])
+    tof = sample_frames((3, 0.5), (3, 0.5))
+    tof.distances[1, 0] = 2.0
+    lines = [json.loads(line) for line in log_lines(sc, tof)]
+    assert [r.get("counts") for r in lines] == [5, 1, 4, 2, None, None]
+    assert [r["d"][0] for r in lines[4:]] == [1.25, 2.0]
+
+
+def test_sc_lines_take_the_regex_path_wherever_it_can_hold_them():
+    # _SC_LINE holds 18-digit integers and two-digit exponents; a line it
+    # cannot hold goes through json.loads, which decodes it the same way.
+    sc, _ = random_tables(np.random.default_rng(8), 3000, 0)
+    sc.times[::3] = np.random.default_rng(9).uniform(0.0, 10.0, len(sc.times[::3]))
+    matched = 0
+    for line in log_lines(sc, NO_TOF):
+        record = json.loads(line)
+        t = record["t"]
+        holds = (abs(record["site_id"]) < 10 ** 18 and record["counts"] < 10 ** 18
+                 and (t == 0.0 or 1e-99 <= abs(t) < 1e100))
+        assert bool(logs._SC_LINE.match(line)) == holds
+        matched += holds
+    assert 0 < matched < len(sc.times)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +230,7 @@ def test_table_decoders_equal_the_record_decoders(tmp_path, n, p_sc, blank):
 def test_tof_tables_take_the_decoders_zone_grid(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "log.jsonl"
-    write_log(path, random_records(rng, 50, 0.5, nx=4, ny=3))
+    write_log(path, [encode_record(r) + "\n" for r in random_records(rng, 50, 0.5, nx=4, ny=3)])
     assert_tables_equal_references(path, nx=4, ny=3)
     with pytest.raises(ValueError, match="has 12 zones, expected 64"):
         tof_frames_from_records(read_log(path))

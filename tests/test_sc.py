@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hybridskin.errors import CalibrationError
-from hybridskin.sc import (ElectrodeModel, MeasurementSpec, ScSample,
-                           calibrate_interference, capacitance, contact_capacitance,
-                           expected_counts, fit_snr_table, measure_counts,
-                           schedule_streams, simulate_cell_counts)
+from hybridskin.sc import (ElectrodeModel, MeasurementSpec, calibrate_interference,
+                           capacitance, contact_capacitance, expected_counts,
+                           fit_snr_table, measure_counts, schedule_streams,
+                           simulate_cell_counts)
 from hybridskin.tof import ToFSpec, frame_times
 from references import measure_counts_scalar
 
@@ -175,11 +175,6 @@ def test_contact_capacitance_matches_the_compressed_electrode_bit_for_bit():
     assert got[4] == electrode.c0  # inf: no conductive object
     with pytest.raises(ValueError):
         contact_capacitance(electrode, np.array([0.1, -1e-9]))
-
-
-def test_sc_sample_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        ScSample(0, 0.0, -1)
 
 
 # ---------------------------------------------------------------------------

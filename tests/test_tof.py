@@ -4,10 +4,10 @@ import pytest
 from hybridskin.kinematics import Pose
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet
-from hybridskin.tof import (ToFFrame, ToFSpec, capture_frame,
-                            capture_frames, frame_times, zone_angles,
-                            zone_direction_local, zone_rays)
-from references import capture_frames_through, raycast_brute_force, stack_poses, zone_ray
+from hybridskin.tof import (ToFSpec, capture_frame, capture_frames, frame_times,
+                            zone_angles, zone_direction_local, zone_rays)
+from references import (capture_frames_through, raycast_brute_force, stack_poses,
+                        tof_frames, zone_ray)
 
 
 def wall_caster(z=2.0, size=20.0):
@@ -76,12 +76,12 @@ def test_wall_distances_match_cosine_oracle():
     spec = ToFSpec(range_noise_sigma=0.0)
     frame = capture_frame(0, Pose.identity(), wall_caster(z=2.0), 0.0, spec,
                           np.random.default_rng(0))
-    assert frame.valid.all()
+    assert frame.valid.shape == (1, 64) and frame.valid.all()
     for i in range(8):
         for j in range(8):
             tx, ty = zone_angles(i, j, spec)
             expected = 2.0 * np.sqrt(1 + np.tan(tx) ** 2 + np.tan(ty) ** 2)
-            assert frame.distances[i, j] == pytest.approx(expected, abs=1e-12)
+            assert frame.distances[0, i * 8 + j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_distances_stay_within_max_range():
@@ -150,8 +150,8 @@ def test_capture_frames_equals_per_sensor_capture_frame():
     poses = random_poses(np.random.default_rng(5), 3 * 12)
     poses = Pose(poses.rotation.reshape(3, 12, 4), poses.translation.reshape(3, 12, 3))
     ids = list(range(20, 32))
-    batch = cast_frames(caster, ids, times, poses, spec,
-                        [np.random.default_rng([3, k]) for k in ids])
+    batch = tof_frames(cast_frames(caster, ids, times, poses, spec,
+                                   [np.random.default_rng([3, k]) for k in ids]))
     assert len(batch) == len(times) * len(ids)
     singles = {k: np.random.default_rng([3, k]) for k in ids}
     by_time = [np.random.default_rng([3, k]) for k in ids]
@@ -160,7 +160,8 @@ def test_capture_frames_equals_per_sensor_capture_frame():
         reference = capture_frames_through(caster, ids, poses[j], t, spec, by_time)
         for k, sensor_id in enumerate(ids):
             frame = batch[j * len(ids) + k]
-            single = capture_frame(sensor_id, poses[j, k], caster, t, spec, singles[sensor_id])
+            [single] = tof_frames(capture_frame(sensor_id, poses[j, k], caster, t, spec,
+                                                singles[sensor_id]))
             assert frame.sensor_id == sensor_id and frame.timestamp == t
             for other in (single, reference[k]):
                 assert np.array_equal(frame.distances, other.distances, equal_nan=True)
@@ -176,8 +177,8 @@ def test_capture_frames_rays_are_the_zone_rays():
     spec = ToFSpec(range_noise_sigma=0.0)
     caster = cluttered_caster()
     poses = random_poses(np.random.default_rng(6), 6)
-    frames = cast_frames(caster, list(range(6)), [0.0], poses[None], spec,
-                         [np.random.default_rng(0)] * 6)
+    frames = tof_frames(cast_frames(caster, list(range(6)), [0.0], poses[None], spec,
+                                    [np.random.default_rng(0)] * 6))
     for pose, frame in zip(poses, frames):
         for i in range(spec.nx):
             for j in range(spec.ny):
@@ -196,9 +197,11 @@ def test_capture_frames_needs_one_pose_and_rng_per_sensor():
         capture_frames([0, 1], [0.0], dist, hit, spec, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
         capture_frames([0, 1], [0.0, 0.1], dist, hit, spec, [np.random.default_rng(0)] * 2)
-    assert capture_frames([], [0.0], np.zeros(0), np.zeros(0, dtype=bool), spec, []) == []
-    assert capture_frames([0], [], np.zeros(0), np.zeros(0, dtype=bool), spec,
-                          [np.random.default_rng(0)]) == []
+    for ids, times in (([], [0.0]), ([0], [])):
+        table = capture_frames(ids, times, np.zeros(0), np.zeros(0, dtype=bool), spec,
+                               [np.random.default_rng(0)] * len(ids))
+        assert len(table) == 0 and table.sensor_ids.dtype == np.int64
+        assert table.distances.shape == table.valid.shape == (0, 64)
 
 
 def test_frame_times_are_strictly_periodic():
@@ -210,7 +213,3 @@ def test_frame_times_are_strictly_periodic():
     assert len(frame_times(0.0, spec)) == 0
     assert len(frame_times(0.01, spec)) == 1
 
-
-def test_frame_validation_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        ToFFrame(0, 0.0, np.zeros((8, 8)), np.zeros((4, 4), dtype=bool))
