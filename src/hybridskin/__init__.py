@@ -23,10 +23,10 @@ from .kinematics import (Joint, JointTrajectory, KinematicChain, Pose, Scene,
 from .layout import (MountSpec, RingSpec, SkinAssembly, SurfaceSite,
                      compose_skin, instance_mount, instance_ring, sample_sites)
 from .mesh import Material, TriMesh, validate_mesh
-from .raycast import Bvh, Ray, TriangleSet
+from .raycast import Bvh, TriangleSet
 from .sc import (ElectrodeModel, InterferenceCalibration, MeasurementSpec,
-                 TableModel, calibrate_interference, capacitance, fit_snr_table,
-                 measure_counts, schedule_streams)
+                 TableModel, calibrate_interference, contact_capacitance,
+                 fit_snr_table, measure_counts, schedule_streams)
 from .tof import NO_TARGET, ToFSpec, capture_frame, capture_frames, zone_rays
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ def _mesh_from_spec(spec, units="m"):
 def load_scene(path) -> Scene:
     data = json.loads(Path(path).read_text())
     objects = []
-    for entry in data.get("objects", []):
+    for k, entry in enumerate(data.get("objects", [])):
         if "mesh" in entry:
             mesh = meshio.load_mesh(entry["mesh"], units=entry.get("units", "m"))
         elif "primitive" in entry:
@@ -71,7 +71,8 @@ def load_scene(path) -> Scene:
                 keyframes.append((float(kf["t"]), pose))
             keyframes.sort(key=lambda kv: kv[0])
         objects.append(SceneObject(mesh=mesh,
-                                   conductive=bool(entry.get("conductive", False)),
+                                   conductive=cfgmod.boolean(entry.get("conductive", False),
+                                                             f"scene object {k} conductive"),
                                    keyframes=keyframes,
                                    name=entry.get("name", "")))
     return Scene(objects=objects)
@@ -95,14 +96,14 @@ def cmd_generate(cfg, out_dir: Path) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
 
-    strict = bool(gen.get("strict", False))
+    strict = cfgmod.boolean(gen.get("strict", False), "config generation.strict")
     dermis = offset_surface(mesh, OffsetSpec(gen["dermis_offset"]), strict=strict)
     covering = extrude_covering(dermis, OffsetSpec(gen["covering_offset"]),
                                 strict=strict)
     sites = layout.sample_sites(dermis, gen["site_count"], gen["site_min_dist"],
                                 seed=cfg["seed"])
-    ring_spec = cfgmod.build_ring_spec(cfg)
-    mount_spec = cfgmod.build_mount_spec(cfg)
+    ring_spec = cfgmod.build_spec(layout.RingSpec, cfg, "generation.ring")
+    mount_spec = cfgmod.build_spec(layout.MountSpec, cfg, "generation.mount")
     assembly = layout.compose_skin(
         dermis, covering, sites, ring_spec, mount_spec,
         support_spacing=gen["support"]["spacing"],
@@ -145,10 +146,11 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     if not np.isfinite(duration):
         raise ValueError(f"config simulation.duration must be finite, not {duration}")
 
-    tof_spec = cfgmod.build_tof_spec(cfg)
-    meas = cfgmod.build_measurement_spec(cfg)
-    electrode = cfgmod.build_electrode(cfg)
-    tof_active = bool(cfg["sensing"].get("tof_active", True))
+    tof_spec = cfgmod.build_spec(tof.ToFSpec, cfg, "sensing.tof")
+    meas = cfgmod.build_spec(sc.MeasurementSpec, cfg, "sensing.measurement")
+    electrode = cfgmod.build_spec(sc.ElectrodeModel, cfg, "sensing.electrode")
+    tof_active = cfgmod.boolean(cfg["sensing"].get("tof_active", True),
+                                "config sensing.tof_active")
 
     site_ids = None
     if manifest is not None:
@@ -260,7 +262,7 @@ def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
             raise ValueError(f"config simulation.{key} is required")
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
-    tof_spec = cfgmod.build_tof_spec(cfg)
+    tof_spec = cfgmod.build_spec(tof.ToFSpec, cfg, "sensing.tof")
     # The log's lines are freed before reconstruct runs, which lowers its
     # peak memory.
     frames = logs.tof_frames_from_records(logs.read_log(log_path),
@@ -284,13 +286,23 @@ def load_labels(path):
     """Site id -> ActivityLabel of a labels file. Ids and bounds are typed as
     in the log; a fault raises ValueError naming its entry."""
     data = json.loads(Path(path).read_text())
+    entries = data.get("labels", []) if type(data) is dict else None
+    if type(entries) is not list:
+        raise ValueError(f"labels file must be an object with a labels array, not {data!r}")
     out = {}
-    for k, entry in enumerate(data.get("labels", [])):
+    for k, entry in enumerate(entries):
         try:
+            if type(entry) is not dict:
+                raise ValueError(f"not an object: {entry!r}")
+            intervals = logs._field(entry, "intervals")
+            if type(intervals) is not list or any(
+                    type(iv) is not list or len(iv) != 3 for iv in intervals):
+                raise ValueError(f"intervals must be an array of [t0, t1, state], "
+                                 f"not {intervals!r}")
             label = analysis.ActivityLabel(
                 site_id=logs._integer(entry, "site_id"),
                 intervals=[(logs._number(t0), logs._number(t1), state)
-                           for t0, t1, state in logs._field(entry, "intervals")])
+                           for t0, t1, state in intervals])
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"labels entry {k}: {exc}") from None
         if label.site_id in out:
@@ -357,13 +369,13 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
 def cmd_calibrate(cfg, out_dir: Path) -> int:
     tbl = cfg["table"]
     targets = {k: tuple(v) for k, v in tbl["targets"].items()}
+    electrode = cfgmod.build_spec(sc.ElectrodeModel, cfg, "sensing.electrode")
     model = sc.fit_snr_table(
         table=targets,
         calibration_column=tbl["calibration_column"],
         signal_delta=float(tbl["signal_delta"]),
-        measurement=cfgmod.build_measurement_spec(cfg),
-        d0=float(cfg["sensing"]["electrode"]["d0"]),
-        c0=float(cfg["sensing"]["electrode"]["c0"]))
+        measurement=cfgmod.build_spec(sc.MeasurementSpec, cfg, "sensing.measurement"),
+        d0=float(electrode.d0), c0=float(electrode.c0))
 
     threshold = float(cfg.get("snr_threshold", analysis.DEFAULT_SNR_THRESHOLD))
     n_seeds = int(tbl.get("seeds", 1))
@@ -387,7 +399,7 @@ def cmd_calibrate(cfg, out_dir: Path) -> int:
             "k": model.electrode_covered.k,
             "d0": model.electrode_covered.d0,
             "t_cov": model.electrode_covered.t_cov,
-            "delta_squeeze": model.delta_squeeze,
+            "delta_squeeze": model.electrode_covered.delta_max,
         },
         "target_deltas": model.target_deltas,
         "expected_snr": {

@@ -7,11 +7,11 @@ be reproduced from the artifacts alone.
 
 import copy
 import json
+import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .layout import MountSpec, RingSpec
-from .sc import ElectrodeModel, MeasurementSpec, REFERENCE_SNR_TABLE
-from .tof import ToFSpec
+from .sc import REFERENCE_SNR_TABLE
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -110,24 +110,35 @@ def write_resolved_config(config, out_dir):
 
 
 # ---------------------------------------------------------------------------
-# Spec builders
+# Typed sections
 # ---------------------------------------------------------------------------
 
-def build_tof_spec(config) -> ToFSpec:
-    return ToFSpec(**config["sensing"]["tof"])
+def build_spec(cls, config, path):
+    """cls (a spec dataclass) from the config section at dotted path.
+
+    Every key must name a field of cls; an int field takes a JSON integer
+    and a float field a finite JSON number, never a boolean. A fault
+    raises ValueError naming section.key.
+    """
+    section = config
+    for part in path.split("."):
+        section = section[part]
+    if type(section) is not dict:
+        raise ValueError(f"config {path} must be an object, not {section!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in section.items():
+        if key not in types:
+            raise ValueError(f"config {path}.{key} is not a key of {path}")
+        if types[key] is int and type(value) is not int:
+            raise ValueError(f"config {path}.{key} must be an integer, not {value!r}")
+        if types[key] is float and not (type(value) in (int, float)
+                                         and abs(value) <= sys.float_info.max):
+            raise ValueError(f"config {path}.{key} must be a finite number, not {value!r}")
+    return cls(**section)
 
 
-def build_measurement_spec(config) -> MeasurementSpec:
-    return MeasurementSpec(**config["sensing"]["measurement"])
-
-
-def build_electrode(config) -> ElectrodeModel:
-    return ElectrodeModel(**config["sensing"]["electrode"])
-
-
-def build_ring_spec(config) -> RingSpec:
-    return RingSpec(**config["generation"]["ring"])
-
-
-def build_mount_spec(config) -> MountSpec:
-    return MountSpec(**config["generation"]["mount"])
+def boolean(value, name):
+    """value, which must be a JSON boolean; name says where it was read."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, not {value!r}")
+    return value

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .geometry import _rowdot
-from .logs import _integer
+from .logs import _field, _integer
 from .mesh import TriMesh
 
 QUAT_TOL = 1e-9
@@ -396,11 +396,11 @@ def _pose_to_dict(p: Pose):
 
 def load_chain(path) -> KinematicChain:
     data = json.loads(Path(path).read_text())
-    joints = [Joint(axis=tuple(j["axis"]),
+    joints = [Joint(axis=tuple(_field(j, "axis")),
                     joint_type=j.get("type", REVOLUTE).upper(),
                     origin=_pose_from_dict(j.get("origin", {})))
-              for j in data["joints"]]
-    mounts = [SensorMount(link_index=int(m["link"]),
+              for j in _field(data, "joints")]
+    mounts = [SensorMount(link_index=_integer(m, "link"),
                           local=_pose_from_dict(m.get("local", {})),
                           site_id=_integer(m, "site_id"))
               for m in data.get("mounts", [])]

@@ -17,8 +17,6 @@ that reach a leaf into (ray, triangle) rows for the kernel, and keeps per
 ray the nearest hit found so far, which culls later pairs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import concat_meshes
@@ -30,20 +28,6 @@ UNIT_TOL = 1e-9
 _BOX_PAD = 1e-9
 # (ray, node) pairs per slab-test batch; bounds the traversal's temporaries.
 _PAIR_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class Ray:
-    origin: tuple
-    direction: tuple
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64)
-        d = np.asarray(self.direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
-            raise ValueError(f"ray direction must be unit length, |d|={np.linalg.norm(d)}")
-        object.__setattr__(self, "origin", tuple(float(c) for c in o))
-        object.__setattr__(self, "direction", tuple(float(c) for c in d))
 
 
 def _cross(a, b):
@@ -194,10 +178,9 @@ class Bvh:
             counts = np.stack([half, counts - half], axis=1).reshape(-1)
         return n_nodes
 
-    def raycast(self, ray: Ray, max_range=np.inf):
+    def raycast(self, origin, direction, max_range=np.inf):
         """Nearest hit of one ray: (distance, triangle_index) or None."""
-        t, idx = self.raycast_many(np.asarray(ray.origin)[None, :],
-                                   np.asarray(ray.direction)[None, :], max_range)
+        t, idx = self.raycast_many([origin], [direction], max_range)
         return None if idx[0] < 0 else (float(t[0]), int(idx[0]))
 
     def raycast_many(self, origins, directions, max_range=np.inf):
@@ -270,23 +253,19 @@ class Bvh:
 def point_mesh_distance(points, tris: TriangleSet):
     """Smallest Euclidean distance from each point to any triangle in the set.
 
-    points has shape (n, 3), or (3,) for a single point, which returns a
-    float. A set with a leading batch axis of n posed copies pairs copy k
-    with point k; an unbatched set serves every point. inf where the set
-    has no triangles.
+    points has shape (n, 3). A set with a leading batch axis of n posed
+    copies pairs copy k with point k; an unbatched set serves every point.
+    inf where the set has no triangles.
     """
-    p = np.asarray(points, dtype=np.float64)
-    single = p.ndim == 1
-    p = p.reshape(-1, 3)
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = tris.n_triangles
     if n == 0:
-        d = np.full(len(p), np.inf)
-    else:  # (point, triangle) rows, point-major
-        v0, e1, e2 = (np.broadcast_to(a, (len(p), n, 3)).reshape(-1, 3)
-                      for a in (tris.v0, tris.e1, tris.e2))
-        sq = _point_tri_sqdist(np.repeat(p, n, axis=0), v0, e1, e2)
-        d = np.sqrt(sq.reshape(len(p), n).min(axis=1))
-    return float(d[0]) if single else d
+        return np.full(len(p), np.inf)
+    # (point, triangle) rows, point-major
+    v0, e1, e2 = (np.broadcast_to(a, (len(p), n, 3)).reshape(-1, 3)
+                  for a in (tris.v0, tris.e1, tris.e2))
+    sq = _point_tri_sqdist(np.repeat(p, n, axis=0), v0, e1, e2)
+    return np.sqrt(sq.reshape(len(p), n).min(axis=1))
 
 
 def _point_tri_sqdist(p, v0, e1, e2):

@@ -4,7 +4,8 @@ Capacitance follows an inverse-distance law with a standoff regularizer:
 C = C0 + k / (d_eff + d0) for conductive objects, C0 otherwise. The
 compliant covering imposes a floor on the effective distance: an object
 can approach the electrode no closer than the covering's compressed
-thickness, d_eff = max(d, t_cov - delta).
+thickness, d_eff = max(d, t_cov - delta). An object nearer than t_cov
+compresses the covering by delta = t_cov - d, at most delta_max.
 
 Counts model an RC charge timer: N = f_clk * R * C * ln(1/(1 - Vth/Vdd)),
 plus Gaussian count noise whose variance grows when the neighboring ToF
@@ -38,24 +39,20 @@ class ElectrodeModel:
     k: float = 1e-13          # F*m
     d0: float = 0.01          # m
     t_cov: float = 0.0        # m; 0 = no covering attached
-    delta: float = 0.0        # m, current covering compression
-    delta_max: float = 0.0    # m
+    delta_max: float = 0.0    # m, full covering compression
 
     def __post_init__(self):
         if self.c0 <= 0.0 or self.d0 <= 0.0 or self.k < 0.0:
             raise ValueError("need c0 > 0, d0 > 0, k >= 0")
         if self.t_cov < 0.0:
             raise ValueError("covering thickness must be >= 0")
-        if not 0.0 <= self.delta <= self.delta_max:
-            raise ValueError(f"compression {self.delta} outside [0, {self.delta_max}]")
+        if not self.delta_max >= 0.0:
+            raise ValueError(f"full compression {self.delta_max} must be >= 0")
         if self.t_cov > 0.0:
             if self.delta_max >= self.t_cov:
                 raise ValueError("delta_max must stay below the covering thickness")
         elif self.delta_max != 0.0:
             raise ValueError("compression requires a covering (t_cov > 0)")
-
-    def compressed(self, delta: float) -> "ElectrodeModel":
-        return replace(self, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -88,61 +85,40 @@ class MeasurementSpec:
         return self.count_noise
 
 
-def capacitance(model: ElectrodeModel, object_distance=None) -> float:
-    """Electrode capacitance given the nearest conductive object's distance.
-
-    None (no conductive object) leaves the baseline C0.
-    """
-    if object_distance is None:
-        return model.c0
-    if object_distance < 0.0:
-        raise ValueError("object distance must be >= 0")
-    return _inverse_distance(model, max(object_distance, model.t_cov - model.delta))
-
-
 def contact_capacitance(model: ElectrodeModel, object_distance):
     """Capacitance with the nearest conductive object at each of an array of distances.
 
     An object nearer than the covering's thickness compresses it, by at
     most delta_max; inf (no conductive object) leaves the baseline C0.
-    Element k is capacitance(model.compressed(delta_k), d_k) bit for bit.
     """
     d = np.asarray(object_distance, dtype=np.float64)
     if not (d >= 0.0).all():
         raise ValueError("object distance must be >= 0")
     delta = np.clip(model.t_cov - d, 0.0, model.delta_max)
-    return _inverse_distance(model, np.maximum(d, model.t_cov - delta))
-
-
-def _inverse_distance(model: ElectrodeModel, d_eff):
-    return model.c0 + model.k / (d_eff + model.d0)
+    return model.c0 + model.k / (np.maximum(d, model.t_cov - delta) + model.d0)
 
 
 def expected_counts(c, spec: MeasurementSpec):
-    """Noise-free RC charge count for capacitance c: an int, or an int64
-    array for an array of capacitances."""
+    """Noise-free RC charge counts for an array of capacitances: int64, c's shape."""
     c = np.asarray(c, dtype=np.float64)
     if not (c > 0.0).all():
         raise ValueError("capacitance must be > 0")
-    n = np.rint(c * spec.counts_per_farad).astype(np.int64)
-    return int(n) if n.ndim == 0 else n
+    return np.rint(c * spec.counts_per_farad).astype(np.int64)
 
 
 def measure_counts(c, spec: MeasurementSpec, tof_active: bool,
                    rng: np.random.Generator):
-    """Count measurements for capacitance(s) c: ideal count + Gaussian
-    noise, rounded and clamped at 0; an int for a scalar c, else an int64
-    array of c's shape.
+    """Count measurements for an array of capacitances c: ideal count +
+    Gaussian noise, rounded and clamped at 0; int64, c's shape.
 
     The noise is one normal draw of c's shape, which consumes the rng as
     that many scalar draws in order do; sigma = 0 draws nothing.
     """
-    counts = np.asarray(expected_counts(c, spec), dtype=np.float64)
+    counts = expected_counts(c, spec).astype(np.float64)
     sigma = spec.sigma(tof_active)
     if sigma != 0.0:
         counts = np.rint(counts + rng.normal(0.0, sigma, size=counts.shape))
-    counts = np.maximum(counts, 0).astype(np.int64)
-    return int(counts) if counts.ndim == 0 else counts
+    return np.maximum(counts, 0).astype(np.int64)
 
 
 def schedule_streams(duration: float, sc_spec: MeasurementSpec,
@@ -206,18 +182,21 @@ class TableModel:
 
     calibration: InterferenceCalibration
     measurement: MeasurementSpec
-    electrode_covered: ElectrodeModel   # covering attached, uncompressed
+    electrode_covered: ElectrodeModel   # covering attached; delta_max is the squeeze
     electrode_bare: ElectrodeModel      # covering removed
-    delta_squeeze: float                # compression in the squeeze state
     target_deltas: dict                 # column -> counts
 
-    def electrode_for(self, column: str) -> ElectrodeModel:
+    def contact(self, column: str):
+        """(electrode, contact distance) of a column's touch: the bare
+        electrode at d = 0, the covering at rest at d = t_cov (touching, not
+        compressed), and the covering squeezed at d = 0, which
+        contact_capacitance clips to full compression."""
         if column == "no_covering":
-            return self.electrode_bare
+            return self.electrode_bare, 0.0
         if column == "covering_rest":
-            return self.electrode_covered
+            return self.electrode_covered, self.electrode_covered.t_cov
         if column == "covering_squeeze":
-            return self.electrode_covered.compressed(self.delta_squeeze)
+            return self.electrode_covered, 0.0
         raise KeyError(column)
 
     def expected_snr(self, column: str, tof_active: bool) -> float:
@@ -277,20 +256,18 @@ def fit_snr_table(table=None, calibration_column: str = "no_covering",
 
     measurement = replace(measurement, count_noise=cal.sigma_base,
                           tof_interference=cal.sigma_tof)
-    covered = ElectrodeModel(c0=c0, k=k, d0=d0, t_cov=t_cov,
-                             delta=0.0, delta_max=delta_squeeze)
+    covered = ElectrodeModel(c0=c0, k=k, d0=d0, t_cov=t_cov, delta_max=delta_squeeze)
     bare = ElectrodeModel(c0=c0, k=k, d0=d0, t_cov=0.0)
     return TableModel(calibration=cal, measurement=measurement,
                       electrode_covered=covered, electrode_bare=bare,
-                      delta_squeeze=delta_squeeze, target_deltas=target)
+                      target_deltas=target)
 
 
 def simulate_cell_counts(model: TableModel, column: str, tof_active: bool,
                          n_samples: int, rng: np.random.Generator):
     """(inactive, active) count arrays for one table cell."""
-    electrode = model.electrode_for(column)
-    c_idle = capacitance(electrode, None)
-    c_active = capacitance(electrode, 0.0)
+    electrode, d = model.contact(column)
+    c_idle, c_active = contact_capacitance(electrode, [np.inf, d])
     inactive = measure_counts(np.full(n_samples, c_idle), model.measurement, tof_active, rng)
     active = measure_counts(np.full(n_samples, c_active), model.measurement, tof_active, rng)
     return inactive, active

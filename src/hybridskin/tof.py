@@ -47,27 +47,17 @@ class ToFSpec:
             raise ValueError("range_noise_sigma must be >= 0")
 
 
-def zone_angles(i: int, j: int, spec: ToFSpec):
-    """Boresight-relative zone angles (radians) for zone (i, j)."""
-    if not (0 <= i < spec.nx and 0 <= j < spec.ny):
-        raise IndexError(f"zone ({i}, {j}) outside {spec.nx}x{spec.ny} grid")
-    theta_x = ((i + 0.5) / spec.nx - 0.5) * math.radians(spec.fov_x)
-    theta_y = ((j + 0.5) / spec.ny - 0.5) * math.radians(spec.fov_y)
-    return theta_x, theta_y
-
-
-def zone_direction_local(i: int, j: int, spec: ToFSpec):
-    """Unit ray direction in the sensor frame (boresight = +z)."""
-    theta_x, theta_y = zone_angles(i, j, spec)
-    d = np.array([math.tan(theta_x), math.tan(theta_y), 1.0])
-    return d / np.linalg.norm(d)
-
-
 @functools.lru_cache(maxsize=8)
 def _local_zone_directions(spec: ToFSpec):
-    """zone_direction_local of every zone, row i*ny + j; read-only."""
-    local = np.array([zone_direction_local(i, j, spec)
-                      for i in range(spec.nx) for j in range(spec.ny)])
+    """Unit ray direction of every zone in the sensor frame (boresight = +z),
+    row i*ny + j; read-only. Zone (i, j) is ((i + 0.5)/nx - 0.5) * fov_x
+    off boresight along x and ((j + 0.5)/ny - 0.5) * fov_y along y."""
+    tan_x = [math.tan(((i + 0.5) / spec.nx - 0.5) * math.radians(spec.fov_x))
+             for i in range(spec.nx)]
+    tan_y = [math.tan(((j + 0.5) / spec.ny - 0.5) * math.radians(spec.fov_y))
+             for j in range(spec.ny)]
+    local = np.array([d / np.linalg.norm(d)
+                      for d in (np.array([tx, ty, 1.0]) for tx in tan_x for ty in tan_y)])
     local.flags.writeable = False
     return local
 
@@ -76,7 +66,7 @@ def zone_rays(poses: Pose, spec: ToFSpec):
     """World-frame zone rays of a stack of S poses: (S*nx*ny, 3) origins, directions.
 
     Row s*nx*ny + i*ny + j holds zone (i, j) of pose s with the bits of the
-    one-ray form: Pose.rotate of zone_direction_local, divided by its
+    one-ray form: Pose.rotate of the zone's local direction, divided by its
     np.linalg.norm. Pose.rotate multiplies a 1x3 row by a transposed 3x3
     view and np.linalg.norm takes a dot product; the stacked matmuls below
     pass each row through the same kernels with the same memory layout,

@@ -23,9 +23,9 @@ from hybridskin.kinematics import (REVOLUTE, Pose, _quat_normalize, mount_poses,
 from hybridskin.logs import ToFTable
 from hybridskin.mesh import (DEGENERATE_AREA, Finding, Material, TriMesh,
                              ValidationReport)
-from hybridskin.raycast import Bvh, Ray, TriangleSet, _intersect_rows, point_mesh_distance
+from hybridskin.raycast import Bvh, TriangleSet, _intersect_rows, point_mesh_distance
 from hybridskin.sc import expected_counts
-from hybridskin.tof import NO_TARGET, ToFSpec, zone_direction_local, zone_rays
+from hybridskin.tof import NO_TARGET, ToFSpec, zone_rays
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,17 @@ class ToFFrame:
             raise ValueError("distances and valid grids must have the same shape")
 
 
-def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
-    """Nearest hit over all triangles: (distance, triangle_index) or None.
+def raycast_brute_force(tris: TriangleSet, origin, direction, max_range=np.inf):
+    """Nearest hit of one ray over all triangles: (distance, triangle_index)
+    or None, for a unit direction.
 
     Runs the same row-wise kernel as Bvh.raycast_many over every triangle,
     so the accelerated result must match it bit for bit.
     """
     if tris.n_triangles == 0:
         return None
-    o = np.asarray(ray.origin)[None, :]
-    d = np.asarray(ray.direction)[None, :]
+    o = np.asarray(origin, dtype=np.float64)[None, :]
+    d = np.asarray(direction, dtype=np.float64)[None, :]
     t = _intersect_rows(o, d, tris.v0, tris.e1, tris.e2)
     idx = int(np.argmin(t))  # argmin takes the lowest index on ties
     if not np.isfinite(t[idx]) or t[idx] > max_range:
@@ -72,11 +73,27 @@ def raycast_brute_force(tris: TriangleSet, ray: Ray, max_range=np.inf):
     return float(t[idx]), idx
 
 
-def zone_ray(sensor_pose: Pose, i: int, j: int, spec: ToFSpec) -> Ray:
-    """World ray of zone (i, j); tof.zone_rays must give the same bits."""
+def zone_angles(i: int, j: int, spec: ToFSpec):
+    """Boresight-relative angles (radians) of zone (i, j)."""
+    theta_x = ((i + 0.5) / spec.nx - 0.5) * math.radians(spec.fov_x)
+    theta_y = ((j + 0.5) / spec.ny - 0.5) * math.radians(spec.fov_y)
+    return theta_x, theta_y
+
+
+def zone_direction_local(i: int, j: int, spec: ToFSpec):
+    """Unit ray direction of zone (i, j) in the sensor frame (boresight = +z);
+    row i*ny + j of tof._local_zone_directions must have the same bits."""
+    theta_x, theta_y = zone_angles(i, j, spec)
+    d = np.array([math.tan(theta_x), math.tan(theta_y), 1.0])
+    return d / np.linalg.norm(d)
+
+
+def zone_ray(sensor_pose: Pose, i: int, j: int, spec: ToFSpec):
+    """World (origin, direction) of zone (i, j); tof.zone_rays must give the
+    same bits."""
     d = sensor_pose.rotate(zone_direction_local(i, j, spec))
     d = d / np.linalg.norm(d)
-    return Ray(origin=sensor_pose.translation, direction=tuple(d))
+    return tuple(sensor_pose.translation.tolist()), tuple(d.tolist())
 
 
 def save_stl_ascii(mesh, path, name="hybridskin"):
@@ -250,12 +267,31 @@ def conductive_distance_scalar(scene, t: float, point):
             meshes.append(obj.mesh)
     if not meshes:
         return None
-    return point_mesh_distance(point, TriangleSet.from_meshes(meshes))
+    return float(point_mesh_distance([point], TriangleSet.from_meshes(meshes))[0])
+
+
+def capacitance_scalar(model, object_distance=None, delta=0.0) -> float:
+    """Capacitance of one electrode with its covering compressed by delta,
+    given the nearest conductive object's distance; None (no conductive
+    object) leaves the baseline C0. sc.contact_capacitance derives delta
+    from the distance instead."""
+    if not 0.0 <= delta <= model.delta_max:
+        raise ValueError(f"compression {delta} outside [0, {model.delta_max}]")
+    if object_distance is None:
+        return model.c0
+    if object_distance < 0.0:
+        raise ValueError("object distance must be >= 0")
+    return model.c0 + model.k / (max(object_distance, model.t_cov - delta) + model.d0)
+
+
+def expected_counts_scalar(c: float, spec) -> int:
+    """Noise-free count of one capacitance."""
+    return int(expected_counts([c], spec)[0])
 
 
 def measure_counts_scalar(c: float, spec, tof_active: bool, rng) -> int:
     """One count measurement from a size-1 normal draw."""
-    base = expected_counts(c, spec)
+    base = expected_counts_scalar(c, spec)
     sigma = spec.sigma(tof_active)
     if sigma == 0.0:
         return max(base, 0)

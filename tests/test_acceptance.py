@@ -17,8 +17,8 @@ from hybridskin.kinematics import (Joint, JointTrajectory, KinematicChain,
                                    Pose, SensorMount, mount_poses)
 from hybridskin.layout import MountSpec, RingSpec, compose_skin, sample_sites
 from hybridskin.mesh import make_cylinder, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import Bvh, Ray, TriangleSet
-from hybridskin.sc import (MeasurementSpec, capacitance, expected_counts,
+from hybridskin.raycast import Bvh, TriangleSet
+from hybridskin.sc import (MeasurementSpec, contact_capacitance, expected_counts,
                            fit_snr_table, measure_counts,
                            schedule_streams)
 from hybridskin.tof import ToFSpec, capture_frame, frame_times
@@ -171,11 +171,10 @@ def test_criterion_5_bvh_matches_brute_force():
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             many_t, many_idx = bvh.raycast_many(origins, dirs)
             for k, (o, d) in enumerate(zip(origins, dirs)):
-                ray = Ray(tuple(o), tuple(d))
-                expect = raycast_brute_force(tris, ray)
+                expect = raycast_brute_force(tris, o, d)
                 got = None if many_idx[k] < 0 else (float(many_t[k]), int(many_idx[k]))
                 if k % 100 == 0:
-                    assert bvh.raycast(ray) == got
+                    assert bvh.raycast(o, d) == got
                 if expect is None:
                     assert got is None
                 else:
@@ -262,17 +261,17 @@ def test_criterion_8_monotone_tactile_response():
         # Counts are integers, so strict monotonicity needs ramp steps that
         # advance the ideal count by more than one; 30 steps over the
         # fitted squeeze range gives ~1.8 counts per step at the flat end.
-        deltas = np.linspace(0.0, model.delta_squeeze, 30)
-        counts = [expected_counts(capacitance(electrode.compressed(dl), 0.0), quiet)
-                  for dl in deltas]
+        deltas = np.linspace(0.0, electrode.delta_max, 30)
+        counts = expected_counts(contact_capacitance(electrode, electrode.t_cov - deltas),
+                                 quiet)
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
         rng = np.random.default_rng(5)
         rest = measure_counts(
-            np.full(1000, capacitance(model.electrode_for("covering_rest"), 0.0)),
+            np.full(1000, contact_capacitance(*model.contact("covering_rest"))),
             model.measurement, True, rng)
         squeeze = measure_counts(
-            np.full(1000, capacitance(model.electrode_for("covering_squeeze"), 0.0)),
+            np.full(1000, contact_capacitance(*model.contact("covering_squeeze"))),
             model.measurement, True, rng)
         se = np.sqrt(rest.var(ddof=1) / 1000 + squeeze.var(ddof=1) / 1000)
         z = (squeeze.mean() - rest.mean()) / se

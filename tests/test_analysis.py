@@ -208,12 +208,12 @@ def test_reconstruct_runs_of_shared_timestamps_follow_the_zone_rays():
             mount.local)
         for i in range(spec.nx):
             for j in range(spec.ny):
-                ray = zone_ray(pose, i, j, spec)
-                hit = raycast_brute_force(tris, ray, spec.max_range)
+                origin, direction = zone_ray(pose, i, j, spec)
+                hit = raycast_brute_force(tris, origin, direction, spec.max_range)
                 assert frame.valid[i, j] == (hit is not None)
                 if hit is not None:
                     t_hit = max(hit[0], 1e-6)
-                    points.append(np.add(ray.origin, t_hit * np.asarray(ray.direction)))
+                    points.append(np.add(origin, t_hit * np.asarray(direction)))
                     ids.append(frame.sensor_id)
                     times.append(frame.timestamp)
     assert 0 < len(points) < 64 * len(frames)  # hits and misses both occur
@@ -458,17 +458,14 @@ def test_calibrated_monte_carlo_reproduces_table_within_tolerance():
 def ramp_samples(site_id=0):
     # squeeze ramp: compression rises linearly; noise-free counts from the
     # covered electrode model
-    from hybridskin.sc import MeasurementSpec, capacitance, expected_counts
+    from hybridskin.sc import MeasurementSpec, contact_capacitance, expected_counts
     model_spec = MeasurementSpec(count_noise=0.0, tof_interference=0.0)
     from hybridskin.sc import ElectrodeModel
     electrode = ElectrodeModel(c0=10e-12, k=1e-12, d0=0.005, t_cov=0.006,
                                delta_max=0.005)
-    samples = []
-    for idx, delta in enumerate(np.linspace(0.0, 0.005, 50)):
-        c = capacitance(electrode.compressed(delta), 0.0)
-        samples.append(ScSample(site_id, 2.0 + idx * 0.01,
-                                expected_counts(c, model_spec)))
-    return samples
+    c = contact_capacitance(electrode, electrode.t_cov - np.linspace(0.0, 0.005, 50))
+    return [ScSample(site_id, 2.0 + idx * 0.01, n)
+            for idx, n in enumerate(expected_counts(c, model_spec).tolist())]
 
 
 def test_squeeze_ramp_counts_strictly_increase():
@@ -479,10 +476,10 @@ def test_squeeze_ramp_counts_strictly_increase():
 def test_pressure_ordering_detected_at_table_noise():
     model = fit_snr_table(SNR_TARGETS, signal_delta=600.0)
     rng = np.random.default_rng(21)
-    from hybridskin.sc import capacitance, measure_counts
+    from hybridskin.sc import contact_capacitance, measure_counts
     idle_c = model.electrode_covered.c0
-    rest_c = capacitance(model.electrode_for("covering_rest"), 0.0)
-    squeeze_c = capacitance(model.electrode_for("covering_squeeze"), 0.0)
+    rest_c = contact_capacitance(*model.contact("covering_rest"))
+    squeeze_c = contact_capacitance(*model.contact("covering_squeeze"))
     samples = []
     t = 0.0
     for c, state_len in ((idle_c, 1000), (rest_c, 1000), (squeeze_c, 1000)):

@@ -10,9 +10,9 @@ from hybridskin import cli, meshio
 from hybridskin.cli import main
 from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from references import (capsule_mesh, conductive_distance_scalar, encode_record, read_records,
-                        save_obj_by_line, save_stl_per_material_by_face, tof_frames,
-                        tof_frames_merged)
+from references import (capacitance_scalar, capsule_mesh, conductive_distance_scalar,
+                        encode_record, expected_counts_scalar, read_records, save_obj_by_line,
+                        save_stl_per_material_by_face, tof_frames, tof_frames_merged)
 
 
 def write_json(path, payload):
@@ -205,6 +205,108 @@ def test_simulate_rejects_a_chain_site_id_the_log_cannot_hold(tmp_path, capsys, 
     assert error == {"error": "ValueError", "message": reason}
 
 
+def error_of(capsys):
+    return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+def never_schedule(monkeypatch):
+    # An unchecked rate or duration can make the SC schedule's loop endless.
+    def unbounded(*args):
+        raise AssertionError("schedule_streams ran on an unchecked config")
+    monkeypatch.setattr(cli.sc, "schedule_streams", unbounded)
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("sensing.tof.foo=1", "config sensing.tof.foo is not a key of sensing.tof"),
+    ("sensing.tof.nx=8.5", "config sensing.tof.nx must be an integer, not 8.5"),
+    ("sensing.tof.ny=true", "config sensing.tof.ny must be an integer, not True"),
+    ("sensing.tof.fov_x=false", "config sensing.tof.fov_x must be a finite number, not False"),
+    ("sensing.tof.max_range=4m", "config sensing.tof.max_range must be a finite number, not '4m'"),
+    ("sensing.measurement.count_noise=NaN",
+     "config sensing.measurement.count_noise must be a finite number, not nan"),
+    ("sensing.measurement.rate=Infinity",
+     "config sensing.measurement.rate must be a finite number, not inf"),
+    ("sensing.measurement.clock_hz=1" + "0" * 400,
+     "config sensing.measurement.clock_hz must be a finite number, not 1" + "0" * 400),
+    ("sensing.electrode.delta=0.003",
+     "config sensing.electrode.delta is not a key of sensing.electrode"),
+    ("sensing.electrode.t_cov=1e999",
+     "config sensing.electrode.t_cov must be a finite number, not inf"),
+    ("sensing.electrode=0.003", "config sensing.electrode must be an object, not 0.003"),
+    ("sensing.tof_active=False", "config sensing.tof_active must be true or false, not 'False'"),
+    ("sensing.tof_active=1", "config sensing.tof_active must be true or false, not 1"),
+], ids=["unknown_tof_key", "float_nx", "boolean_ny", "boolean_fov", "string_range",
+        "nan_noise", "infinite_rate", "huge_clock", "electrode_delta", "infinite_t_cov",
+        "electrode_not_an_object", "string_tof_active", "integer_tof_active"])
+def test_simulate_rejects_a_sensing_value_of_the_wrong_type(tmp_path, capsys, monkeypatch,
+                                                           override, reason):
+    never_schedule(monkeypatch)
+    cfg = wall_fixture(tmp_path)
+    assert main(["simulate", "--config", cfg, "--set", override,
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+def test_simulate_rejects_a_scene_object_conductive_flag_that_is_not_a_boolean(tmp_path,
+                                                                              capsys):
+    cfg = wall_fixture(tmp_path, conductive="false")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": "scene object 0 conductive must be true or false, not 'false'"}
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("generation.ring.segments=64.5",
+     "config generation.ring.segments must be an integer, not 64.5"),
+    ("generation.ring.foo=1", "config generation.ring.foo is not a key of generation.ring"),
+    ("generation.ring.height=NaN",
+     "config generation.ring.height must be a finite number, not nan"),
+    ("generation.mount.height=true",
+     "config generation.mount.height must be a finite number, not True"),
+    ("generation.strict=False", "config generation.strict must be true or false, not 'False'"),
+], ids=["float_segments", "unknown_ring_key", "nan_ring_height", "boolean_mount_height",
+        "string_strict"])
+def test_generate_rejects_a_generation_value_of_the_wrong_type(tmp_path, capsys, override,
+                                                              reason):
+    cfg = generate_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--set", override,
+                 "--out", str(tmp_path / "gen")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+def with_chain(cfg_path, edit):
+    """The config at cfg_path, its chain file changed in place by edit(chain)."""
+    chain_path = Path(json.loads(Path(cfg_path).read_text())["simulation"]["chain"])
+    chain = json.loads(chain_path.read_text())
+    edit(chain)
+    chain_path.write_text(json.dumps(chain))
+    return cfg_path
+
+
+@pytest.mark.parametrize("link,reason", [
+    (0.5, "link must be an integer, not 0.5"),
+    (1.0, "link must be an integer, not 1.0"),
+    ("1", "link must be an integer, not '1'"),
+    (True, "link must be an integer, not True"),
+], ids=["fraction", "integral_float", "string", "boolean"])
+def test_simulate_rejects_a_chain_link_that_is_not_an_integer(tmp_path, capsys, monkeypatch,
+                                                             link, reason):
+    never_schedule(monkeypatch)
+    cfg = with_chain(wall_fixture(tmp_path), lambda c: c["mounts"][0].update(link=link))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+@pytest.mark.parametrize("key", ["joints", "axis"])
+def test_simulate_rejects_a_chain_without_joints_or_an_axis(tmp_path, capsys, monkeypatch, key):
+    never_schedule(monkeypatch)
+    drop = {"joints": lambda c: c.pop("joints"), "axis": lambda c: c["joints"][0].pop("axis")}
+    cfg = with_chain(wall_fixture(tmp_path), drop[key])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": f"no {key!r} field"}
+
+
 def test_simulate_same_seed_is_byte_identical(tmp_path):
     cfg = wall_fixture(tmp_path, duration=2.0)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -253,7 +355,7 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
 def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
     # A far conductive box listed first, a nearer conductive box, and a
     # still nearer non-conductive wall: the SC counts see only the nearer box.
-    from hybridskin import config as cfgmod, sc
+    from hybridskin import sc
     from hybridskin.mesh import make_box
     from hybridskin.raycast import TriangleSet, point_mesh_distance
     cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1))
@@ -274,15 +376,13 @@ def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
 
     resolved = json.loads((out / "resolved_config.json").read_text())
     near = make_box((0.2, 0.2, 0.2), center=(0.0, 0.0, 0.5))
-    d = point_mesh_distance((0.0, 0.0, 0.0), TriangleSet(near.vertices, near.faces))
+    [d] = point_mesh_distance([(0.0, 0.0, 0.0)], TriangleSet(near.vertices, near.faces))
     assert d == pytest.approx(0.4)
-    electrode = cfgmod.build_electrode(resolved)
+    electrode = sc.ElectrodeModel(**resolved["sensing"]["electrode"])
     delta = float(np.clip(electrode.t_cov - d, 0.0, electrode.delta_max))
-    expected = sc.expected_counts(
-        sc.capacitance(electrode.compressed(delta), d),
-        cfgmod.build_measurement_spec(resolved))
-    far = sc.expected_counts(sc.capacitance(electrode, 0.9),
-                             cfgmod.build_measurement_spec(resolved))
+    spec = sc.MeasurementSpec(**resolved["sensing"]["measurement"])
+    expected = expected_counts_scalar(capacitance_scalar(electrode, d, delta), spec)
+    far = expected_counts_scalar(capacitance_scalar(electrode, 0.9), spec)
     assert expected > far
     counts = [r["counts"] for r in read_records(out / "samples.jsonl") if r["type"] == "sc"]
     assert len(counts) >= 80
@@ -793,6 +893,29 @@ def test_snr_rejects_a_label_value_of_the_wrong_type(tmp_path, capsys, entry, re
     assert error == {"error": "ValueError", "message": f"labels entry 1: {reason}"}
 
 
+@pytest.mark.parametrize("labels,reason", [
+    ([], "labels file must be an object with a labels array, not []"),
+    ({"labels": {"site_id": 0}},
+     "labels file must be an object with a labels array, not {'labels': {'site_id': 0}}"),
+    ({"labels": [{"site_id": 0, "intervals": PHASES}, 5]}, "labels entry 1: not an object: 5"),
+    ({"labels": [{"site_id": 0, "intervals": 3}]},
+     "labels entry 0: intervals must be an array of [t0, t1, state], not 3"),
+    ({"labels": [{"site_id": 0, "intervals": [PHASES[0], 5]}]},
+     "labels entry 0: intervals must be an array of [t0, t1, state], "
+     "not [[0.0, 7.2, 'INACTIVE'], 5]"),
+    ({"labels": [{"site_id": 0, "intervals": [PHASES[0] + [1]]}]},
+     "labels entry 0: intervals must be an array of [t0, t1, state], "
+     "not [[0.0, 7.2, 'INACTIVE', 1]]"),
+], ids=["top_level_array", "labels_object", "integer_entry", "integer_intervals",
+        "integer_interval", "four_element_interval"])
+def test_snr_rejects_a_labels_file_of_the_wrong_shape(tmp_path, capsys, labels, reason):
+    log, _ = synth_snr_log(tmp_path)
+    path = write_json(tmp_path / "shape.json", labels)
+    capsys.readouterr()
+    assert main(["snr", "--log", log, "--labels", path, "--out", str(tmp_path / "o")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
 def test_snr_rejects_a_site_labelled_twice(tmp_path, capsys):
     log, _ = synth_snr_log(tmp_path)
     entry = {"site_id": 0, "intervals": [[0.0, 1.0, "INACTIVE"]]}
@@ -869,6 +992,19 @@ def test_calibrate_writes_calibration_and_table(tmp_path):
     assert payload["all_contact"] is True
     assert (out / "snr.csv").exists()
     assert "No covering" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("sensing.electrode.delta=0.003",
+     "config sensing.electrode.delta is not a key of sensing.electrode"),
+    ("sensing.electrode.d0=true", "config sensing.electrode.d0 must be a finite number, not True"),
+    ("sensing.measurement.count_noise=NaN",
+     "config sensing.measurement.count_noise must be a finite number, not nan"),
+], ids=["electrode_delta", "boolean_d0", "nan_noise"])
+def test_calibrate_rejects_a_sensing_value_of_the_wrong_type(tmp_path, capsys, override,
+                                                            reason):
+    assert main(["calibrate", "--set", override, "--out", str(tmp_path / "cal")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
 
 
 def test_calibrate_infeasible_table_exits_4(tmp_path, capsys):

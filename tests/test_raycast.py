@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
-from hybridskin.raycast import Bvh, Ray, TriangleSet, point_mesh_distance
+from hybridskin.raycast import Bvh, TriangleSet, point_mesh_distance
 from references import raycast_brute_force
 
 
@@ -15,21 +15,23 @@ def random_scene(rng, n_triangles=100, extent=2.0):
 
 
 def random_ray(rng, extent=3.0):
+    """(origin, unit direction)."""
     origin = rng.uniform(-extent, extent, size=3)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    return Ray(tuple(origin), tuple(direction))
+    return tuple(origin), tuple(direction)
 
 
-def test_ray_requires_unit_direction():
+def test_raycast_requires_unit_direction():
+    bvh = Bvh(random_scene(np.random.default_rng(1), 10))
     with pytest.raises(ValueError):
-        Ray((0, 0, 0), (0, 0, 2))
+        bvh.raycast((0, 0, 0), (0, 0, 2))
 
 
 def test_perpendicular_plane_hit_at_exact_distance():
     plane = make_plane_patch(4.0, 4.0, 2, 2, center=(0, 0, 1.0))
     tris = TriangleSet(plane.vertices, plane.faces)
-    hit = raycast_brute_force(tris, Ray((0, 0, 0), (0, 0, 1)))
+    hit = raycast_brute_force(tris, (0, 0, 0), (0, 0, 1))
     assert hit is not None
     assert hit[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -37,16 +39,16 @@ def test_perpendicular_plane_hit_at_exact_distance():
 def test_max_range_clamps_to_no_target():
     plane = make_plane_patch(4.0, 4.0, 2, 2, center=(0, 0, 5.0))
     tris = TriangleSet(plane.vertices, plane.faces)
-    assert raycast_brute_force(tris, Ray((0, 0, 0), (0, 0, 1)), max_range=4.0) is None
+    assert raycast_brute_force(tris, (0, 0, 0), (0, 0, 1), max_range=4.0) is None
     bvh = Bvh(tris)
-    assert bvh.raycast(Ray((0, 0, 0), (0, 0, 1)), max_range=4.0) is None
+    assert bvh.raycast((0, 0, 0), (0, 0, 1), max_range=4.0) is None
 
 
 def test_nearest_of_stacked_planes_wins():
     near = make_plane_patch(2, 2, 1, 1, center=(0, 0, 1.0))
     far = make_plane_patch(2, 2, 1, 1, center=(0, 0, 2.0))
     tris = TriangleSet.from_meshes([far, near])
-    hit = raycast_brute_force(tris, Ray((0.1, 0.1, 0), (0, 0, 1)))
+    hit = raycast_brute_force(tris, (0.1, 0.1, 0), (0, 0, 1))
     assert hit[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -54,7 +56,7 @@ def test_backface_hits_count():
     # Ray from inside a box must hit the far wall (double-sided triangles).
     box = make_box((1, 1, 1))
     tris = TriangleSet(box.vertices, box.faces)
-    hit = raycast_brute_force(tris, Ray((0, 0, 0), (1, 0, 0)))
+    hit = raycast_brute_force(tris, (0, 0, 0), (1, 0, 0))
     assert hit is not None
     assert hit[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -67,8 +69,8 @@ def test_bvh_equals_brute_force_on_random_scenes():
         hits = misses = 0
         for _ in range(2500):
             ray = random_ray(rng)
-            expect = raycast_brute_force(tris, ray)
-            got = bvh.raycast(ray)
+            expect = raycast_brute_force(tris, *ray)
+            got = bvh.raycast(*ray)
             if expect is None:
                 assert got is None
                 misses += 1
@@ -89,14 +91,14 @@ def test_bvh_handles_axis_aligned_rays():
             d = np.zeros(3)
             d[axis] = sign
             for _ in range(200):
-                ray = Ray(tuple(rng.uniform(-2, 2, size=3)), tuple(d))
-                assert bvh.raycast(ray) == raycast_brute_force(tris, ray)
+                o = tuple(rng.uniform(-2, 2, size=3))
+                assert bvh.raycast(o, d) == raycast_brute_force(tris, o, d)
 
 
 def test_empty_scene_is_a_miss():
     tris = TriangleSet.from_meshes([])
-    assert raycast_brute_force(tris, Ray((0, 0, 0), (0, 0, 1))) is None
-    assert Bvh(tris).raycast(Ray((0, 0, 0), (0, 0, 1))) is None
+    assert raycast_brute_force(tris, (0, 0, 0), (0, 0, 1)) is None
+    assert Bvh(tris).raycast((0, 0, 0), (0, 0, 1)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def brute_force_many(tris, origins, directions, max_range=np.inf):
     t = np.full(len(origins), np.inf)
     idx = np.full(len(origins), -1, dtype=np.int64)
     for k, (o, d) in enumerate(zip(origins, directions)):
-        hit = raycast_brute_force(tris, Ray(tuple(o), tuple(d)), max_range)
+        hit = raycast_brute_force(tris, o, d, max_range)
         if hit is not None:
             t[k], idx[k] = hit
     return t, idx
@@ -254,25 +256,25 @@ def test_raycast_many_rejects_non_unit_and_misshaped_rays():
 def test_point_plane_distance():
     plane = make_plane_patch(2, 2, 4, 4)
     tris = TriangleSet(plane.vertices, plane.faces)
-    assert point_mesh_distance((0.1, -0.2, 0.7), tris) == pytest.approx(0.7, abs=1e-12)
-    assert point_mesh_distance((0.0, 0.0, -0.3), tris) == pytest.approx(0.3, abs=1e-12)
+    assert point_mesh_distance([(0.1, -0.2, 0.7)], tris) == pytest.approx([0.7], abs=1e-12)
+    assert point_mesh_distance([(0.0, 0.0, -0.3)], tris) == pytest.approx([0.3], abs=1e-12)
 
 
 def test_point_distance_to_edge_and_vertex_regions():
     tri = TriangleSet([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
     # Beyond the (1,0,0) vertex: closest feature is the vertex.
-    assert point_mesh_distance((2.0, 0.0, 0.0), tri) == pytest.approx(1.0, abs=1e-12)
+    assert point_mesh_distance([(2.0, 0.0, 0.0)], tri) == pytest.approx([1.0], abs=1e-12)
     # Past the hypotenuse: closest feature is that edge.
-    d = point_mesh_distance((1.0, 1.0, 0.0), tri)
+    [d] = point_mesh_distance([(1.0, 1.0, 0.0)], tri)
     assert d == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
     # Directly above the interior.
-    assert point_mesh_distance((0.2, 0.2, 0.5), tri) == pytest.approx(0.5, abs=1e-12)
+    assert point_mesh_distance([(0.2, 0.2, 0.5)], tri) == pytest.approx([0.5], abs=1e-12)
 
 
 def test_point_sphere_distance_matches_analytic():
     sphere = make_uv_sphere(0.05, 32, 64)
     tris = TriangleSet(sphere.vertices, sphere.faces)
-    d = point_mesh_distance((0.2, 0.0, 0.0), tris)
+    [d] = point_mesh_distance([(0.2, 0.0, 0.0)], tris)
     assert d == pytest.approx(0.15, abs=2e-4)  # tessellation tolerance
 
 
@@ -284,7 +286,7 @@ def test_point_distance_brute_force_sampling_oracle():
     verts = np.concatenate([tris.v0, tris.v0 + tris.e1, tris.v0 + tris.e2])
     for _ in range(20):
         p = rng.uniform(-2, 2, size=3)
-        exact = point_mesh_distance(p, tris)
+        [exact] = point_mesh_distance([p], tris)
         # sample points on every triangle
         u = rng.random((400, 1))
         v = rng.random((400, 1))

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hybridskin.errors import CalibrationError
-from hybridskin.sc import (ElectrodeModel, MeasurementSpec, calibrate_interference,
-                           capacitance, contact_capacitance, expected_counts,
+from hybridskin.sc import (TABLE_COLUMNS, ElectrodeModel, MeasurementSpec,
+                           calibrate_interference, contact_capacitance, expected_counts,
                            fit_snr_table, measure_counts, schedule_streams,
                            simulate_cell_counts)
 from hybridskin.tof import ToFSpec, frame_times
-from references import measure_counts_scalar
+from references import capacitance_scalar, expected_counts_scalar, measure_counts_scalar
 
 
 def covered_electrode(**kw):
@@ -24,55 +24,58 @@ def covered_electrode(**kw):
 
 def test_no_object_gives_baseline():
     m = covered_electrode()
-    assert capacitance(m, None) == m.c0
+    assert contact_capacitance(m, [np.inf]).tolist() == [m.c0]
 
 
 def test_far_object_approaches_baseline():
     m = covered_electrode()
-    far = capacitance(m, 1000.0 * m.d0)
+    [far] = contact_capacitance(m, [1000.0 * m.d0])
     assert far - m.c0 < 1e-3 * m.k / m.d0
     assert far > m.c0  # still strictly above
 
 
 def test_capacitance_strictly_decreases_with_distance():
     m = covered_electrode()
-    ds = np.linspace(m.t_cov, 0.5, 200)  # beyond the covering floor
-    cs = [capacitance(m, d) for d in ds]
-    assert np.all(np.diff(cs) < 0.0)
+    ds = np.linspace(m.t_cov - m.delta_max, 0.5, 200)  # down to the full compression
+    assert np.all(np.diff(contact_capacitance(m, ds)) < 0.0)
 
 
 def test_covering_floor_limits_approach():
     m = covered_electrode()
-    # objects closer than the (uncompressed) covering read as t_cov away
-    assert capacitance(m, 0.0) == capacitance(m, m.t_cov)
-    assert capacitance(m, m.t_cov / 2) == capacitance(m, m.t_cov)
+    # objects closer than the fully compressed covering read as that far away
+    floor = m.t_cov - m.delta_max
+    c = contact_capacitance(m, [0.0, floor / 2, floor])
+    assert c[0] == c[1] == c[2]
 
 
 def test_squeeze_raises_capacitance():
-    rest = covered_electrode(delta=0.0)
-    squeezed = covered_electrode(delta=0.004)
-    assert capacitance(squeezed, 0.0) > capacitance(rest, 0.0)
+    m = covered_electrode()
+    rest, squeezed = contact_capacitance(m, [m.t_cov, 0.0])
+    assert squeezed > rest
 
 
 def test_covering_attenuates_contact_signal():
     # Same electrode with and without the covering: the covering keeps the
-    # touching object further away, so the contact delta shrinks.
+    # touching object further away, at rest and squeezed, so the contact
+    # delta shrinks.
     covered = covered_electrode()
     bare = covered_electrode(t_cov=0.0, delta_max=0.0)
-    delta_covered = capacitance(covered, 0.0) - covered.c0
-    delta_bare = capacitance(bare, 0.0) - bare.c0
-    assert 0.0 < delta_covered < delta_bare
+    delta_covered = contact_capacitance(covered, [covered.t_cov, 0.0]) - covered.c0
+    [delta_bare] = contact_capacitance(bare, [0.0]) - bare.c0
+    assert 0.0 < delta_covered[0] < delta_covered[1] < delta_bare
 
 
 def test_compression_bounds_enforced():
     with pytest.raises(ValueError):
-        covered_electrode(delta=0.005)  # above delta_max
-    with pytest.raises(ValueError):
         covered_electrode(delta_max=0.006)  # not strictly below t_cov
+    for t_cov in (0.0, 0.006):
+        for delta_max in (-0.001, -1e-300, float("nan")):
+            with pytest.raises(ValueError):
+                covered_electrode(t_cov=t_cov, delta_max=delta_max)
     with pytest.raises(ValueError):
         ElectrodeModel(t_cov=0.0, delta_max=0.001)
     bare = ElectrodeModel(t_cov=0.0, delta_max=0.0)
-    assert capacitance(bare, 0.0) == bare.c0 + bare.k / bare.d0
+    assert contact_capacitance(bare, [0.0]).tolist() == [bare.c0 + bare.k / bare.d0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +85,19 @@ def test_compression_bounds_enforced():
 def test_default_threshold_gives_exact_rc_product():
     # With Vth/Vdd = 1 - 1/e the log factor is exactly 1: N = f*R*C.
     spec = MeasurementSpec()
-    assert expected_counts(10e-12, spec) == 1600
+    assert expected_counts([10e-12], spec).tolist() == [1600]
 
 
 def test_literal_0p632_threshold_matches_closed_form():
     spec = MeasurementSpec(threshold_ratio=0.632)
     n = 160e6 * 1e6 * 10e-12 * math.log(1.0 / (1.0 - 0.632))
-    assert expected_counts(10e-12, spec) == round(n) == 1599
+    assert expected_counts([10e-12], spec).tolist() == [round(n)] == [1599]
 
 
 def test_counts_double_with_capacitance():
     spec = MeasurementSpec(count_noise=0.0, tof_interference=0.0)
     rng = np.random.default_rng(0)
-    n1 = measure_counts(10e-12, spec, False, rng)
-    n2 = measure_counts(20e-12, spec, False, rng)
+    n1, n2 = measure_counts([10e-12, 20e-12], spec, False, rng)
     assert n2 == 2 * n1
 
 
@@ -103,8 +105,7 @@ def test_noise_free_counts_increase_with_capacitance():
     spec = MeasurementSpec(count_noise=0.0, tof_interference=0.0)
     rng = np.random.default_rng(0)
     cs = np.linspace(5e-12, 50e-12, 50)
-    counts = [measure_counts(c, spec, False, rng) for c in cs]
-    assert np.all(np.diff(counts) > 0)
+    assert np.all(np.diff(measure_counts(cs, spec, False, rng)) > 0)
 
 
 def test_tof_active_inflates_variance_in_quadrature():
@@ -118,9 +119,9 @@ def test_tof_active_inflates_variance_in_quadrature():
 
 def test_measure_counts_deterministic_and_nonnegative():
     spec = MeasurementSpec(count_noise=1e6)  # absurd noise to hit the clamp
-    a = measure_counts(10e-12, spec, True, np.random.default_rng(1))
-    b = measure_counts(10e-12, spec, True, np.random.default_rng(1))
-    assert a == b >= 0
+    a = measure_counts(np.full(100, 10e-12), spec, True, np.random.default_rng(1))
+    b = measure_counts(np.full(100, 10e-12), spec, True, np.random.default_rng(1))
+    assert np.array_equal(a, b) and (a >= 0).all() and (a == 0).any()
 
 
 def test_measure_counts_draws_as_one_scalar_normal():
@@ -131,16 +132,16 @@ def test_measure_counts_draws_as_one_scalar_normal():
     rng, twin = np.random.default_rng(11), np.random.default_rng(11)
     for k in range(1000):
         spec, tof_active = (quiet, wild)[k % 2], k % 3 == 0
-        n = expected_counts(10e-12, spec)
+        n = expected_counts_scalar(10e-12, spec)
         expected = max(int(round(n + twin.normal(0.0, spec.sigma(tof_active)))), 0)
-        assert measure_counts(10e-12, spec, tof_active, rng) == expected
+        assert measure_counts([10e-12], spec, tof_active, rng).tolist() == [expected]
     assert rng.random() == twin.random()
 
 
 def test_scalar_and_array_paths_share_statistics():
     spec = MeasurementSpec(count_noise=7.0, tof_interference=0.0)
-    scalars = np.array([measure_counts(10e-12, spec, False,
-                                       np.random.default_rng([3, i]))
+    scalars = np.array([measure_counts_scalar(10e-12, spec, False,
+                                              np.random.default_rng([3, i]))
                         for i in range(4000)])
     batch = measure_counts(np.full(4000, 10e-12), spec, False,
                            np.random.default_rng(9))
@@ -171,7 +172,7 @@ def test_contact_capacitance_matches_the_compressed_electrode_bit_for_bit():
     got = contact_capacitance(electrode, d)
     for dk, ck in zip(d, got):
         delta = float(np.clip(electrode.t_cov - dk, 0.0, electrode.delta_max))
-        assert ck == capacitance(electrode.compressed(delta), dk)
+        assert ck == capacitance_scalar(electrode, dk, delta)
     assert got[4] == electrode.c0  # inf: no conductive object
     with pytest.raises(ValueError):
         contact_capacitance(electrode, np.array([0.1, -1e-9]))
@@ -249,7 +250,7 @@ def test_calibration_round_trips_through_measurement_statistics():
     cal = calibrate_interference(50.0, 120.0, 600.0)
     spec = MeasurementSpec(count_noise=cal.sigma_base,
                            tof_interference=cal.sigma_tof)
-    base = expected_counts(10e-12, spec)
+    base = expected_counts_scalar(10e-12, spec)
     delta = 600.0
     active_c = (base + delta) / spec.counts_per_farad
     rng = np.random.default_rng(0)
@@ -284,13 +285,40 @@ def test_fit_orders_deltas_like_the_physics():
     model = fit_snr_table()
     d = model.target_deltas
     assert d["no_covering"] > d["covering_squeeze"] > d["covering_rest"]
-    assert 0.0 < model.delta_squeeze < model.electrode_covered.t_cov
+    assert 0.0 < model.electrode_covered.delta_max < model.electrode_covered.t_cov
     # expected counts actually realize the deltas through the electrode law
     spec = model.measurement
-    idle = expected_counts(model.electrode_covered.c0, spec)
-    for col in ("no_covering", "covering_rest", "covering_squeeze"):
-        active = expected_counts(capacitance(model.electrode_for(col), 0.0), spec)
+    for col in TABLE_COLUMNS:
+        electrode, distance = model.contact(col)
+        idle, active = expected_counts(contact_capacitance(electrode, [np.inf, distance]), spec)
+        assert idle == expected_counts_scalar(model.electrode_covered.c0, spec)
         assert active - idle == pytest.approx(d[col], abs=1.0)
+
+
+@pytest.mark.parametrize("calibration_column", ["no_covering", "covering_rest"])
+def test_table_cells_are_the_scalar_law_with_explicit_compression(calibration_column):
+    # Each cell is a contact distance on the law simulate uses; it gives the
+    # bits of the scalar law with the cell's compression written out.
+    model = fit_snr_table(calibration_column=calibration_column)
+    covered = model.electrode_covered
+    compression = {"no_covering": (model.electrode_bare, 0.0),
+                   "covering_rest": (covered, 0.0),
+                   "covering_squeeze": (covered, covered.delta_max)}
+    for column, (electrode, delta) in compression.items():
+        got, distance = model.contact(column)
+        assert got == electrode
+        expected = [capacitance_scalar(electrode, None, delta),
+                    capacitance_scalar(electrode, 0.0, delta)]
+        assert contact_capacitance(electrode, [np.inf, distance]).tolist() == expected
+        for tof_active in (False, True):
+            rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+            inactive, active = simulate_cell_counts(model, column, tof_active, 300, rng)
+            assert inactive.tolist() == measure_counts(
+                np.full(300, expected[0]), model.measurement, tof_active, twin).tolist()
+            assert active.tolist() == measure_counts(
+                np.full(300, expected[1]), model.measurement, tof_active, twin).tolist()
+    with pytest.raises(KeyError):
+        model.contact("covering_half")
 
 
 def test_simulated_cells_hit_expected_snr():

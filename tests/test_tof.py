@@ -4,10 +4,10 @@ import pytest
 from hybridskin.kinematics import Pose
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
 from hybridskin.raycast import Bvh, TriangleSet
-from hybridskin.tof import (ToFSpec, capture_frame, capture_frames, frame_times,
-                            zone_angles, zone_direction_local, zone_rays)
+from hybridskin.tof import (ToFSpec, _local_zone_directions, capture_frame, capture_frames,
+                            frame_times, zone_rays)
 from references import (capture_frames_through, raycast_brute_force, stack_poses,
-                        tof_frames, zone_ray)
+                        tof_frames, zone_angles, zone_direction_local, zone_ray)
 
 
 def wall_caster(z=2.0, size=20.0):
@@ -17,8 +17,8 @@ def wall_caster(z=2.0, size=20.0):
 
 def test_single_zone_grid_fires_along_boresight():
     spec = ToFSpec(nx=1, ny=1)
-    ray = zone_ray(Pose.identity(), 0, 0, spec)
-    assert np.allclose(ray.direction, (0, 0, 1), atol=1e-15)
+    _, direction = zone_ray(Pose.identity(), 0, 0, spec)
+    assert np.allclose(direction, (0, 0, 1), atol=1e-15)
 
 
 def test_center_zones_are_symmetric_about_boresight():
@@ -47,21 +47,24 @@ def test_zone_grid_mirror_symmetry():
             assert np.allclose(d, mirrored, atol=1e-9)
 
 
-def test_zone_index_out_of_range():
-    spec = ToFSpec()
-    with pytest.raises(IndexError):
-        zone_angles(8, 0, spec)
-    with pytest.raises(IndexError):
-        zone_angles(0, -1, spec)
+@pytest.mark.parametrize("spec", [ToFSpec(), ToFSpec(nx=1, ny=1), ToFSpec(nx=3, ny=5, fov_x=61.0,
+                                                                          fov_y=12.5)],
+                         ids=["8x8", "1x1", "3x5"])
+def test_local_zone_directions_are_the_per_zone_form(spec):
+    local = _local_zone_directions(spec)
+    assert local.shape == (spec.nx * spec.ny, 3) and not local.flags.writeable
+    for i in range(spec.nx):
+        for j in range(spec.ny):
+            assert np.array_equal(local[i * spec.ny + j], zone_direction_local(i, j, spec))
 
 
 def test_zone_ray_rotates_with_sensor_pose():
     spec = ToFSpec()
     pose = Pose.from_axis_angle([0, 1, 0], np.pi / 2, translation=(1, 2, 3))
-    ray = zone_ray(pose, 3, 3, spec)
-    assert ray.origin == (1.0, 2.0, 3.0)
+    origin, direction = zone_ray(pose, 3, 3, spec)
+    assert origin == (1.0, 2.0, 3.0)
     local = zone_direction_local(3, 3, spec)
-    assert np.allclose(ray.direction, pose.rotate(local), atol=1e-12)
+    assert np.allclose(direction, pose.rotate(local), atol=1e-12)
 
 
 def test_empty_scene_yields_all_no_target():
@@ -182,7 +185,7 @@ def test_capture_frames_rays_are_the_zone_rays():
     for pose, frame in zip(poses, frames):
         for i in range(spec.nx):
             for j in range(spec.ny):
-                hit = raycast_brute_force(caster.tris, zone_ray(pose, i, j, spec),
+                hit = raycast_brute_force(caster.tris, *zone_ray(pose, i, j, spec),
                                           spec.max_range)
                 if hit is None:
                     assert not frame.valid[i, j]
