@@ -197,18 +197,19 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> log
     """Every sensor's frame at every time as one capture_frames table, rows
     time-major; poses is (times, sensors).
 
-    The scene is cast in two levels. One Bvh over the static objects serves
-    the whole run, and each block of whole frame times, at most _TOF_RAYS
-    zone rays, goes through it as one packet. Each frame time then casts its
-    rays through a Bvh of only its posed movers, and a ray keeps the smaller
-    distance. A frame takes only the distance and whether anything was hit,
-    and a (ray, triangle) pair gives the same t in either Bvh, so the frames
-    are those of one Bvh over the whole posed scene at each time. No Bvh
-    outlives the call. One capture_frames call over every time adds the
+    The scene is cast in two levels. One Bvh per static object serves the
+    whole run, and each block of whole frame times, at most _TOF_RAYS zone
+    rays, goes through each of them as one packet; a per-object tree keeps
+    the room's large boxes out of the obstacle's nodes. Each frame time then
+    casts its rays through a Bvh of only its posed movers, and a ray keeps
+    the smallest distance. A frame takes only the distance and whether
+    anything was hit, and a (ray, triangle) pair gives the same t in any
+    Bvh, so the frames are those of one Bvh over the whole posed scene at
+    each time. No Bvh outlives the call. One capture_frames call over every time adds the
     noise, the same draws as one call per block.
     """
-    static = Bvh(TriangleSet.from_meshes([obj.mesh for obj in scene.objects
-                                          if not obj.keyframes]))
+    static = [Bvh(TriangleSet(obj.mesh.vertices, obj.mesh.faces))
+              for obj in scene.objects if not obj.keyframes]
     moving = [bool(obj.keyframes) for obj in scene.objects]
     per_time = len(sensor_ids) * spec.nx * spec.ny
     step = max(1, _TOF_RAYS // per_time)
@@ -217,8 +218,11 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> log
     for start in range(0, len(times), step):
         origins, directions = tof.zone_rays(poses[start:start + step], spec)
         block = slice(start * per_time, start * per_time + len(origins))
-        dist[block], idx = static.raycast_many(origins, directions, spec.max_range)
-        hit[block] = idx >= 0
+        dist[block], hit[block] = np.inf, False
+        for bvh in static:
+            t_obj, idx = bvh.raycast_many(origins, directions, spec.max_range)
+            dist[block] = np.minimum(dist[block], t_obj)
+            hit[block] |= idx >= 0
         for j, t in enumerate(times[start:start + step].tolist()):
             movers = [m for (m, _), move in zip(scene.at(t), moving) if move]
             rays = slice(j * per_time, (j + 1) * per_time)

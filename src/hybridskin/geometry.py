@@ -93,9 +93,16 @@ def _handle_self_intersections(mesh: TriMesh, strict: bool, what: str):
 
 
 # Candidate (face, face) rows the broad phase holds at once.
-SWEEP_BLOCK_ROWS = 1 << 17
+BROAD_BLOCK_ROWS = 1 << 17
+# A face whose box covers more grid cells than this is paired with every face.
+GRID_MAX_CELLS = 64
+# Grid cells per axis at most, which keeps a cell's linear index in int64.
+_GRID_AXIS_CELLS = 1 << 20
 # Candidate points drawn on the dermis per generate_supports call.
 SUPPORT_CANDIDATES = 20_000
+# Candidates per (candidates, keepouts) product in _keepout_blocked; small
+# blocks keep the product's temporaries, and the peak RSS, small.
+_KEEPOUT_ROWS = 512
 
 
 def self_intersections(mesh: TriMesh, max_pairs: int = 16):
@@ -106,13 +113,16 @@ def self_intersections(mesh: TriMesh, max_pairs: int = 16):
     vertex are skipped, as are coplanar overlaps - the check targets surface
     fold-over from offsetting, which always produces proper crossings.
 
-    Broad phase: sweep and prune. The faces are sorted by the low end of
-    their bounding box on the axis of largest extent; each face's candidates
-    are the later faces whose box starts no further along that axis than its
-    own box ends (touching boxes count). The sorted faces are expanded to
-    candidate rows in blocks of at most SWEEP_BLOCK_ROWS rows (one face's
-    candidates are never split), and the rows whose boxes also overlap on
-    the other two axes go to one row-wise edge-vs-triangle test.
+    Broad phase: a uniform grid (Ericson, Real-Time Collision Detection,
+    2005, 7.1) whose cell edge on each axis is the median face-box extent.
+    Each face goes into every cell its box covers, and two faces are paired
+    only in the cell that holds the larger of their boxes' low corners, so
+    two overlapping boxes come up once. A face covering more than
+    GRID_MAX_CELLS cells, or with a non-finite corner, is paired with every
+    other face instead (every face, if the corners lie too far apart to
+    subtract). Candidate rows go in blocks of at most
+    BROAD_BLOCK_ROWS rows, and those whose boxes overlap on all three axes
+    (touching boxes count) go to one row-wise edge-vs-triangle test.
     """
     faces = mesh.faces
     n = len(faces)
@@ -121,31 +131,20 @@ def self_intersections(mesh: TriMesh, max_pairs: int = 16):
     tri = mesh.triangles()
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    others = [k for k in range(3) if k != axis]
-    order = np.argsort(lo[:, axis], kind="stable")
-    end = np.searchsorted(lo[order, axis], hi[order, axis], side="right")
-    count = end - np.arange(1, n + 1)  # >= 0, as every box has lo <= hi
-    first_row = np.concatenate(([0], np.cumsum(count)))
-
     found_a, found_b = [], []
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(first_row, first_row[start] + SWEEP_BLOCK_ROWS,
-                                   side="right")) - 1
-        stop = min(n, max(start + 1, stop))
-        c = count[start:stop]
-        # Row r of face a pairs it with the r-th sorted face after it.
-        a = np.repeat(np.arange(start, stop), c)
-        b = a + 1 + np.arange(len(a)) - np.repeat(first_row[start:stop] - first_row[start], c)
-        start = stop
-        a, b = order[a], order[b]
-        # On the sweep axis the boxes overlap by construction.
+    # One contiguous column per axis and per corner: 1-D gathers are cheaper.
+    lo_k, hi_k, corner = lo.T.copy(), hi.T.copy(), faces.T.copy()
+    for a, b in _grid_candidates(lo, hi):
         keep = np.ones(len(a), dtype=bool)
-        for k in others:
-            keep &= (lo[a, k] <= hi[b, k]) & (hi[a, k] >= lo[b, k])
+        for k in range(3):
+            keep &= (lo_k[k][a] <= hi_k[k][b]) & (hi_k[k][a] >= lo_k[k][b])
         a, b = a[keep], b[keep]
-        shared = (faces[a][:, :, None] == faces[b][:, None, :]).any(axis=(1, 2))
+        corners_b = [c[b] for c in corner]
+        shared = np.zeros(len(a), dtype=bool)
+        for c in corner:
+            corner_a = c[a]
+            for corner_b in corners_b:
+                shared |= corner_a == corner_b
         a, b = a[~shared], b[~shared]
         ta, tb = tri[a], tri[b]
         cross = _edges_pierce(ta, tb) | _edges_pierce(tb, ta)
@@ -156,6 +155,84 @@ def self_intersections(mesh: TriMesh, max_pairs: int = 16):
     fb = np.concatenate(found_b)
     first = np.lexsort((fb, fa))[:max(max_pairs, 1)]
     return [(int(x), int(y)) for x, y in zip(fa[first], fb[first])]
+
+
+def _grid_candidates(lo, hi):
+    """Blocks (a, b) of face pairs that hold every pair of overlapping boxes once."""
+    n = len(lo)
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    lo_f, hi_f = lo[finite], hi[finite]
+    cell_lo = np.zeros((n, 3), dtype=np.int64)
+    cell_hi = np.zeros((n, 3), dtype=np.int64)
+    with np.errstate(over="ignore"):
+        origin = lo_f.min(axis=0, initial=np.inf)
+        span = hi_f.max(axis=0, initial=-np.inf) - origin
+    if not np.isfinite(span).all():
+        finite[:] = False  # nothing finite, or too far apart to subtract: pair all
+    else:
+        edge = np.median(hi_f - lo_f, axis=0)
+        edge = np.maximum(np.where(edge > 0.0, edge, span), span / _GRID_AXIS_CELLS)
+        edge[edge == 0.0] = 1.0
+        cell_lo[finite] = ((lo_f - origin) / edge).astype(np.int64)
+        cell_hi[finite] = ((hi_f - origin) / edge).astype(np.int64)
+    width = cell_hi - cell_lo + 1
+    covered = width.prod(axis=1)
+    big = ~finite | (covered > GRID_MAX_CELLS)
+
+    # Large faces first, each paired with every later face of [large, small].
+    large = np.flatnonzero(big)
+    order = np.concatenate([large, np.flatnonzero(~big)])
+    count = np.zeros(n, dtype=np.int64)
+    count[:len(large)] = n - 1 - np.arange(len(large))
+    if len(large):
+        for p, q in _row_blocks(count):
+            yield order[p], order[q]
+
+    # The small faces' (face, cell) entries, by cell and then face. Bit k of
+    # an entry's `low` says its cell is its face's lowest on axis k; the
+    # cell of the larger low corner is the one where the pair's bits cover
+    # all three axes.
+    small = np.flatnonzero(~big)
+    face = np.repeat(small, covered[small])
+    k = np.arange(len(face)) - np.repeat(np.cumsum(covered[small]) - covered[small],
+                                         covered[small])
+    key = np.zeros(len(face), dtype=np.int64)
+    low = np.zeros(len(face), dtype=np.int8)
+    dims = cell_hi.max(axis=0) + 1
+    for axis in (2, 1, 0):
+        w = width[face, axis]
+        step = k % w
+        key = key * dims[axis] + cell_lo[face, axis] + step
+        low |= (step == 0).astype(np.int8) << axis
+        k = k // w
+    by_cell = np.argsort(key, kind="stable")
+    face, low, key = face[by_cell], low[by_cell], key[by_cell]
+    run_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    run_end = np.append(run_start[1:], len(key))
+    count = np.repeat(run_end, run_end - run_start) - np.arange(1, len(key) + 1)
+    for p, q in _row_blocks(count):
+        home = (low[p] | low[q]) == 7
+        yield face[p[home]], face[q[home]]
+
+
+def _row_blocks(count):
+    """Position p paired with the count[p] positions after it, as (p, q) rows.
+
+    Blocks hold at most BROAD_BLOCK_ROWS rows; one position's rows are never
+    split, so a block may hold more when one position alone does.
+    """
+    n = len(count)
+    first_row = np.concatenate(([0], np.cumsum(count)))
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(first_row, first_row[start] + BROAD_BLOCK_ROWS,
+                                   side="right")) - 1
+        stop = min(n, max(start + 1, stop))
+        c = count[start:stop]
+        p = np.repeat(np.arange(start, stop), c)
+        q = p + 1 + np.arange(len(p)) - np.repeat(first_row[start:stop] - first_row[start], c)
+        start = stop
+        yield p, q
 
 
 def _rowdot(x, y):
@@ -234,27 +311,59 @@ def generate_supports(dermis: TriMesh, covering: TriMesh, keepouts,
 
 
 def _support_candidates(dermis, covering, keepouts, radius, seed):
-    """SUPPORT_CANDIDATES dermis points, their covering tops, and which are blocked.
-
-    A candidate is blocked when either end lies within keepout radius +
-    `radius` of a keepout's axis.
-    """
+    """SUPPORT_CANDIDATES dermis points, their covering tops, and which are blocked."""
     rng = np.random.default_rng(seed)
     pos, face_idx, bary = sample_surface(dermis, SUPPORT_CANDIDATES, rng)
     top = np.einsum("ij,ijk->ik", bary, covering.vertices[covering.faces[face_idx]])
+    return pos, top, _keepout_blocked(pos, top, keepouts, radius)
 
-    # One keepout at a time: a (candidates, keepouts, 3) array would take
-    # tens of MB, and glibc keeps the heap of later calls that large.
+
+def _keepout_blocked(pos, top, keepouts, radius):
+    """Which candidates are blocked: either end, pos or top, lies within
+    keepout radius + `radius` of a keepout's axis,
+    |p - c|**2 - ((p - c) . n)**2 < r**2.
+    That left side is a quadratic form in p, so one (rows, 10) @ (10,
+    keepouts) product of monomials and weights evaluates it for every pair,
+    _KEEPOUT_ROWS candidates at a time. The product decides each pair whose
+    value lies farther from r**2 than 1e-9 * (max |p|**2 + max |c|**2 + max
+    r**2), a band far wider than the rounding of either form; the pairs
+    inside the band are decided by the direct form above.
+    """
     blocked = np.zeros(len(pos), dtype=bool)
-    for k in keepouts:
-        center = np.asarray(k.center, dtype=np.float64)
-        normal = np.asarray(k.normal, dtype=np.float64)
-        r = float(k.radius) + radius
-        for end in (pos, top):
-            rel = end - center
-            axial = np.einsum("ij,j->i", rel, normal)
-            blocked |= np.einsum("ij,ij->i", rel, rel) - axial * axial < r * r
-    return pos, top, blocked
+    if not keepouts:
+        return blocked
+
+    center = np.array([k.center for k in keepouts], dtype=np.float64)
+    normal = np.array([k.normal for k in keepouts], dtype=np.float64)
+    r = np.array([float(k.radius) + radius for k in keepouts])
+    r_sq = r * r
+    # |p - c|**2 - ((p - c) . n)**2 = p.A p + b.p + c.A c with A = I - n n^T.
+    a = np.eye(3) - normal[:, :, None] * normal[:, None, :]
+    weights = np.stack([a[:, 0, 0], a[:, 1, 1], a[:, 2, 2],
+                        2.0 * a[:, 0, 1], 2.0 * a[:, 0, 2], 2.0 * a[:, 1, 2],
+                        *(-2.0 * np.einsum("kij,kj->ik", a, center)),
+                        np.einsum("ki,kij,kj->k", center, a, center) - r_sq])
+    scale = np.einsum("ij,ij->i", center, center).max() + r_sq.max()
+    for end in (pos, top):
+        band = 1e-9 * (np.einsum("ij,ij->i", end, end).max(initial=0.0) + scale)
+        near_rows, near_keepouts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for start in range(0, len(end), _KEEPOUT_ROWS):
+            x, y, z = end[start:start + _KEEPOUT_ROWS].T
+            value = np.stack([x * x, y * y, z * z, x * y, x * z, y * z,
+                              x, y, z, np.ones(len(x))], axis=1) @ weights
+            blocked[start:start + len(value)] |= value.min(axis=1) < -band
+            near = np.abs(value) <= band
+            if near.any():
+                rows, ks = np.nonzero(near)
+                near_rows.append(start + rows)
+                near_keepouts.append(ks)
+        rows, ks = np.concatenate(near_rows), np.concatenate(near_keepouts)
+        for k in np.unique(ks).tolist():
+            sel = rows[ks == k]
+            rel = end[sel] - center[k]
+            axial = np.einsum("ij,j->i", rel, normal[k])
+            blocked[sel[np.einsum("ij,ij->i", rel, rel) - axial * axial < r_sq[k]]] = True
+    return blocked
 
 
 def _greedy_place(pos, blocked, spacing):

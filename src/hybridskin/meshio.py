@@ -24,11 +24,28 @@ def _scale_for(units):
 
 
 def _weld(triangles):
-    """Weld exactly-equal vertices of a triangle soup into an indexed mesh."""
-    flat = triangles.reshape(-1, 3)
-    verts, inverse = np.unique(flat, axis=0, return_inverse=True)
-    faces = inverse.reshape(-1, 3)
-    return verts, faces
+    """Weld exactly-equal vertices of a triangle soup into an indexed mesh.
+
+    Vertices come out in lexicographic (x, y, z) order. -0.0 is welded as
+    +0.0: both compare equal, so the two signs would otherwise leave one
+    vertex whose zero sign depends on the sort.
+    """
+    flat = triangles.reshape(-1, 3) + 0.0
+    order = np.lexsort((flat[:, 2], flat[:, 1], flat[:, 0]))
+    ordered = flat[order]
+    new = np.ones(len(flat), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse.reshape(-1, 3)
+
+
+def _require_finite(values, path, what):
+    """Raise ValueError naming the file and the first row with a NaN or inf."""
+    bad = ~np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if bad.any():
+        raise ValueError(f"mesh {path}: {what} {int(np.argmax(bad)) + 1} has a "
+                         f"non-finite coordinate")
 
 
 def load_stl(path, units="m"):
@@ -37,8 +54,8 @@ def load_stl(path, units="m"):
         tris = _parse_ascii_stl(data.decode("ascii", errors="replace"))
     else:
         tris = _parse_binary_stl(data)
-    tris = tris * _scale_for(units)
-    verts, faces = _weld(tris)
+    _require_finite(tris, path, "facet")
+    verts, faces = _weld(tris * _scale_for(units))
     return TriMesh.from_arrays(verts, faces)
 
 
@@ -118,7 +135,9 @@ def load_obj(path, units="m"):
                 faces.append([idx[0], idx[k], idx[k + 1]])
     if not faces:
         raise ValueError(f"OBJ {path} contains no faces")
-    return TriMesh.from_arrays(np.array(verts), faces)
+    verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
+    _require_finite(verts, path, "vertex")
+    return TriMesh.from_arrays(verts, faces)
 
 
 def save_obj(mesh: TriMesh, path):

@@ -8,7 +8,7 @@ resolve to the lowest triangle index. Triangles are double-sided (no
 backface culling): a depth sensor sees whatever surface crosses its ray.
 A scene split over several Bvhs therefore gives, as the smaller of the
 per-Bvh distances, the bits one Bvh over the whole scene gives: simulate
-keeps the static objects in one Bvh per run and builds one over the
+keeps one Bvh per static object for the run and builds one over the
 posed movers at each frame time.
 
 Bvh.raycast_many casts a packet of rays breadth-first: each level runs a

@@ -766,3 +766,40 @@ def validate_mesh_dict(mesh):
             "unreferenced-vertex", "warning",
             f"{unreferenced.size} vertex(es) not used by any face", unreferenced.tolist()))
     return ValidationReport(findings, boundary, boundary == 0, not conflict_edges)
+
+
+def weld_by_unique(triangles):
+    """Weld a triangle soup with np.unique over its vertex rows.
+
+    np.unique keeps an arbitrary one of -0.0 and +0.0 where both occur.
+    """
+    verts, inverse = np.unique(triangles.reshape(-1, 3), axis=0, return_inverse=True)
+    return verts, inverse.reshape(-1, 3)
+
+
+def keepout_blocked_by_keepout(pos, top, keepouts, radius):
+    """Candidates with either end within keepout radius + radius of a keepout's axis,
+    one keepout at a time."""
+    blocked = np.zeros(len(pos), dtype=bool)
+    for k in keepouts:
+        center = np.asarray(k.center, dtype=np.float64)
+        normal = np.asarray(k.normal, dtype=np.float64)
+        r = float(k.radius) + radius
+        for end in (pos, top):
+            rel = end - center
+            axial = np.einsum("ij,j->i", rel, normal)
+            blocked |= np.einsum("ij,ij->i", rel, rel) - axial * axial < r * r
+    return blocked
+
+
+def sweep_and_prune_rows(mesh):
+    """Candidate rows of a sweep and prune along the axis of largest extent:
+    each face against the later sorted faces whose box starts no further
+    along that axis than its own box ends."""
+    tri = mesh.triangles()
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    start = np.sort(lo[:, axis], kind="stable")
+    order = np.argsort(lo[:, axis], kind="stable")
+    end = np.searchsorted(start, hi[order, axis], side="right")
+    return int((end - np.arange(1, len(start) + 1)).sum())

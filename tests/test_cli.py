@@ -94,6 +94,41 @@ def test_generate_invalid_mesh_exits_2(tmp_path, capsys):
     assert "degenerate-face" in err
 
 
+def link_stl_with_a_nan(path):
+    """The 0.12 m test box as a binary STL whose fourth facet has a NaN."""
+    meshio.save_stl(make_box((0.12, 0.12, 0.12)), path)
+    data = bytearray(path.read_bytes())
+    data[84 + 3 * 50 + 16:84 + 3 * 50 + 20] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+def test_generate_on_a_mesh_with_a_nan_exits_2_naming_the_file(tmp_path, capsys):
+    link = link_stl_with_a_nan(tmp_path / "link.stl")
+    cfg = generate_config(tmp_path, mesh=link)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": f"mesh {link}: facet 4 has a non-finite coordinate"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_with_a_nan_in_a_scene_mesh_exits_2_naming_the_file(tmp_path, capsys):
+    cfg_path = wall_fixture(tmp_path)
+    cfg = json.loads(Path(cfg_path).read_text())
+    scene = json.loads(Path(cfg["simulation"]["scene"]).read_text())
+    obstacle = link_stl_with_a_nan(tmp_path / "obstacle.stl")
+    scene["objects"].append({"name": "obstacle", "mesh": obstacle})
+    cfg["simulation"]["scene"] = write_json(tmp_path / "scene_nan.json", scene)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": f"mesh {obstacle}: facet 4 has a non-finite coordinate"}
+    assert not (out / "samples.jsonl").exists()
+
+
 def test_generate_link_scale_manifest_lists_40_sites(tmp_path):
     cfg = generate_config(
         tmp_path,
@@ -320,12 +355,15 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
 
 
 def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeypatch):
-    # One Bvh over the static wall serves the run; each frame time builds one
-    # over its posed movers only, and drops it before the next.
+    # One Bvh per static object (the wall, a post) serves the run; each frame
+    # time builds one over its posed movers only, and drops it before the next.
     from hybridskin import raycast
     cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1, 2))
     cfg = json.loads(Path(cfg_path).read_text())
     scene = json.loads(Path(cfg["simulation"]["scene"]).read_text())
+    scene["objects"].insert(0, {
+        "name": "post", "primitive": {"kind": "cylinder", "radius": 0.05, "height": 1.0,
+                                      "segments": 5, "center": [1.5, 0.0, 1.5]}})
     scene["objects"].append({
         "name": "hand", "primitive": {"kind": "box", "size": [0.2, 0.2, 0.2]},
         "keyframes": [{"t": 0.0, "translation": [0.0, 0.0, 1.0]},
@@ -335,7 +373,7 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
     build = raycast.Bvh.__init__
 
     def tracked_build(self, tris, *args, **kwargs):
-        assert sum(ref() is not None for _, ref in built) <= 1  # only the static one lives
+        assert sum(ref() is not None for _, ref in built) <= 2  # only the static ones live
         build(self, tris, *args, **kwargs)
         built.append((tris.n_triangles, weakref.ref(self)))
 
@@ -346,9 +384,9 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
     tof = [r for r in read_records(out / "samples.jsonl") if r["type"] == "tof"]
     assert len(tof) == 3 * 12
     assert any(d is not None and d < 1.5 for r in tof for d in r["d"])  # the hand is seen
-    # 12 Hz over 1 s, shared by the three mounts: the wall's 8 triangles
-    # once, the hand's 12 at each frame time.
-    assert [n for n, _ in built] == [8] + [12] * 12
+    # 12 Hz over 1 s, shared by the three mounts: the post's 20 triangles and
+    # the wall's 8 once, the hand's 12 at each frame time.
+    assert [n for n, _ in built] == [20, 8] + [12] * 12
     assert all(ref() is None for _, ref in built)
 
 

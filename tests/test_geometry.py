@@ -9,8 +9,9 @@ from hybridskin.geometry import (Footprint, OffsetSpec, extrude_covering,
 from hybridskin.layout import sample_sites
 from hybridskin.mesh import (Material, TriMesh, make_cylinder, make_plane_patch,
                              make_uv_sphere, validate_mesh)
-from references import (capsule_mesh, greedy_grid_hash, sphere_tessellation_for_chord_error,
-                        support_cylinder, tangent_frame_scalar)
+from references import (capsule_mesh, greedy_grid_hash, keepout_blocked_by_keepout,
+                        sphere_tessellation_for_chord_error, support_cylinder,
+                        sweep_and_prune_rows, tangent_frame_scalar)
 
 
 def v_crease_patch(alpha_deg=15.0, wing=0.05, width=0.05):
@@ -188,12 +189,129 @@ def test_self_intersections_match_reference_on_folded_meshes(seed):
         assert assert_matches_reference(mesh, max_pairs) == every[:max_pairs]
 
 
-def test_self_intersections_are_the_same_in_small_sweep_blocks(monkeypatch):
-    mesh = jittered_sphere(3)
+def count_broad_phase_rows(monkeypatch):
+    """Record (rows, widest position) of every block of candidate rows the broad
+    phase expands, and the positions (faces, or face-cell entries) per call."""
+    sizes, positions = [], []
+    row_blocks = geometry._row_blocks
+
+    def counted(count):
+        positions.append(len(count))
+        for p, q in row_blocks(count):
+            sizes.append((len(p), int(count.max(initial=0))))
+            yield p, q
+    monkeypatch.setattr(geometry, "_row_blocks", counted)
+    return sizes, positions
+
+
+def test_self_intersections_are_the_same_in_small_broad_phase_blocks(monkeypatch):
+    mesh = with_giant_face(jittered_sphere(3), 1.0)
     every = self_intersections(mesh, max_pairs=10**9)
-    monkeypatch.setattr(geometry, "SWEEP_BLOCK_ROWS", 5)
+    assert len(every) > 16
+    sizes, _ = count_broad_phase_rows(monkeypatch)
+    monkeypatch.setattr(geometry, "BROAD_BLOCK_ROWS", 50)
     assert self_intersections(mesh, max_pairs=10**9) == every
     assert self_intersections(mesh, max_pairs=16) == every[:16]
+    # A block holds at most 50 rows, or one position's rows when they are more.
+    assert len(sizes) > 100
+    assert all(rows <= max(50, widest) for rows, widest in sizes)
+    assert any(rows > 50 for rows, _ in sizes)  # the giant face's own rows
+
+
+def with_giant_face(mesh, half_width):
+    """The mesh plus one triangle about 3 * half_width across, in the tilted plane
+    z = 0.01 x + 0.02 y through the mean of its vertices."""
+    s = half_width
+    giant = mesh.vertices.mean(axis=0) + s * np.array([[-1.0, -1.0, -0.03], [2.0, -1.0, 0.0],
+                                                       [-1.0, 2.0, 0.03]])
+    n = mesh.n_vertices
+    return TriMesh.from_arrays(np.vstack([mesh.vertices, giant]),
+                               np.vstack([mesh.faces, [[n, n + 1, n + 2]]]))
+
+
+def overlapping_box_pairs(mesh):
+    """Every pair a < b of faces whose boxes overlap on all three axes."""
+    tri = mesh.triangles()
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    overlap = np.all(lo[:, None, :] <= hi[None, :, :], axis=2)
+    overlap &= np.all(hi[:, None, :] >= lo[None, :, :], axis=2)
+    return sorted(zip(*(x.tolist() for x in np.nonzero(np.triu(overlap, k=1)))))
+
+
+def broad_phase_pairs(mesh):
+    """The broad phase's candidate pairs whose boxes overlap, as (a, b), a < b."""
+    tri = mesh.triangles()
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    pairs = []
+    for a, b in geometry._grid_candidates(lo, hi):
+        keep = np.all((lo[a] <= hi[b]) & (hi[a] >= lo[b]), axis=1)
+        pairs += zip(np.minimum(a, b)[keep].tolist(), np.maximum(a, b)[keep].tolist())
+    return sorted(pairs)
+
+
+def zero_extent_faces():
+    """Points, segments and flat faces: every face has no extent on some axis."""
+    rng = np.random.default_rng(11)
+    corners = rng.uniform(-1.0, 1.0, size=(300, 3, 3))
+    corners[:100, 1:] = corners[:100, :1]                 # single points
+    corners[100:200, 2] = corners[100:200, 1]             # segments
+    corners[200:, :, 2] = 0.25                            # faces in the plane z = 0.25
+    corners[150:160] = corners[140:150]                   # coincident copies
+    return TriMesh.from_arrays(corners.reshape(-1, 3), np.arange(900).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: jittered_sphere(4),
+    lambda: jittered_sphere(5, scale=0.0005),
+    lambda: with_giant_face(jittered_sphere(6), 1.0),
+    lambda: with_giant_face(jittered_sphere(7), 1000.0),
+    zero_extent_faces,
+    lambda: make_plane_patch(0.1, 0.1, 12, 12),
+    lambda: crossing_pair(),
+    lambda: TriMesh.from_arrays(
+        np.vstack([crossing_pair().vertices, [[-1e308, 0, 0], [1e308, 0, 0], [0, 1e308, 0]]]),
+        [[0, 1, 2], [3, 4, 5], [6, 7, 8]]),
+], ids=["folded", "jittered", "giant", "giant-1km", "zero-extent", "flat", "pair", "huge"])
+def test_broad_phase_yields_every_overlapping_box_pair_once(make):
+    mesh = make()
+    assert broad_phase_pairs(mesh) == overlapping_box_pairs(mesh)
+
+
+def test_broad_phase_pairs_a_face_with_a_non_finite_corner_with_every_face():
+    mesh = jittered_sphere(8)
+    vertices = mesh.vertices.copy()
+    vertices[mesh.faces[5, 0]] = [np.inf, 0.0, 0.0]
+    vertices[mesh.faces[9, 1]] = [0.0, np.nan, 0.0]
+    tri = TriMesh.from_arrays(vertices, mesh.faces).triangles()
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    pairs = set()
+    for a, b in geometry._grid_candidates(lo, hi):
+        pairs |= set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    bad = np.flatnonzero(~np.isfinite(tri).all(axis=(1, 2))).tolist()
+    assert len(bad) >= 2
+    for f in bad:
+        assert all((min(f, g), max(f, g)) in pairs for g in range(len(tri)) if g != f)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 1000.0])
+def test_one_giant_face_does_not_make_the_broad_phase_pair_everything(monkeypatch,
+                                                                      half_width):
+    link = capsule_mesh(0.045, 0.22, 48, 8, 16)
+    shell = offset_surface(link, OffsetSpec(0.004))
+    sizes, positions = count_broad_phase_rows(monkeypatch)
+    assert self_intersections(shell, 10**9) == []
+    shell_rows, shell_positions = sum(rows for rows, _ in sizes), sum(positions)
+    sizes.clear()
+    positions.clear()
+    giant = with_giant_face(shell, half_width)
+    assert assert_matches_reference(giant, 10**9) != []
+    giant_rows = sum(rows for rows, _ in sizes)
+    n = giant.n_faces
+    # The giant face costs one row per face and one position, not a grid too
+    # coarse for the rest nor an entry in every cell it covers.
+    assert giant_rows <= 1.25 * shell_rows + n
+    assert sum(positions) <= 1.25 * shell_positions + n
+    assert 5 * giant_rows < sweep_and_prune_rows(giant) < n * (n - 1) // 2
 
 
 def test_self_intersections_of_boxes_that_only_touch():
@@ -438,6 +556,66 @@ def test_keepouts_that_block_every_candidate_raise_placement_error(capsule_skin)
     with pytest.raises(PlacementError, match=r"^no support placement possible with "
                                              r"1 keepout\(s\) and spacing 0\.02$"):
         generate_supports(dermis, covering, blanket, spacing=0.02, seed=7)
+
+
+def keepouts_and_ends_on_their_boundary(seed, offset, scale, radius):
+    """Random keep-outs and candidate ends; every third end lies on a keep-out's
+    cylinder of radius keepout radius + radius, as near as rounding allows."""
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(12, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    keepouts = [Footprint(center=tuple(scale * rng.uniform(-1.0, 1.0, 3) + offset),
+                          normal=tuple(n), radius=scale * rng.uniform(0.05, 0.2))
+                for n in normals]
+    pos = scale * rng.uniform(-1.5, 1.5, (3000, 3)) + offset
+    top = pos + scale * rng.normal(scale=0.05, size=pos.shape)
+    on = np.arange(0, len(pos), 3)
+    k = rng.integers(len(keepouts), size=len(on))
+    center = np.array([keepouts[i].center for i in k])
+    normal = np.array([keepouts[i].normal for i in k])
+    r = np.array([keepouts[i].radius for i in k]) + radius
+    t1, t2 = geometry.tangent_frame(normal)
+    phi = rng.uniform(0.0, 2.0 * np.pi, len(on))
+    along = scale * rng.uniform(-1.0, 1.0, len(on))
+    pos[on] = center + r[:, None] * (np.cos(phi)[:, None] * t1 + np.sin(phi)[:, None] * t2) \
+        + along[:, None] * normal
+    top[on[1::2]] = pos[on[1::2]]
+    return pos, top, keepouts, on
+
+
+@pytest.mark.parametrize("seed,offset,scale", [
+    (0, 0.0, 0.1), (1, 0.0, 1e-3), (2, 0.0, 50.0), (3, 1000.0, 0.1), (4, -1e5, 1.0)])
+def test_keepout_test_equals_the_per_keepout_form_bit_for_bit(monkeypatch, seed, offset,
+                                                              scale):
+    radius = 0.02 * scale
+    pos, top, keepouts, on = keepouts_and_ends_on_their_boundary(seed, offset, scale, radius)
+    expected = keepout_blocked_by_keepout(pos, top, keepouts, radius)
+    assert geometry._keepout_blocked(pos, top, keepouts, radius).tolist() == expected.tolist()
+    assert 0.0 < expected[on].mean() < 1.0 and 0.0 < expected.mean() < 1.0
+    for rows in (1, 7, 5000):
+        monkeypatch.setattr(geometry, "_KEEPOUT_ROWS", rows)
+        assert geometry._keepout_blocked(pos, top, keepouts, radius).tolist() == \
+            expected.tolist()
+
+
+def test_keepout_test_of_no_keepouts_or_no_candidates():
+    pos = np.random.default_rng(0).normal(size=(10, 3))
+    assert not geometry._keepout_blocked(pos, pos, [], 0.002).any()
+    ring = [Footprint(center=(0.0, 0.0, 0.0), normal=(0, 0, 1), radius=0.5)]
+    empty = np.zeros((0, 3))
+    assert geometry._keepout_blocked(empty, empty, ring, 0.002).shape == (0,)
+
+
+def test_support_candidates_of_a_link_1_km_away_equal_the_per_keepout_form(capsule_skin):
+    dermis, covering, keepouts = capsule_skin
+    offset = np.array([1000.0, -700.0, 300.0])
+    far = [TriMesh(m.vertices + offset, m.faces, m.face_material) for m in (dermis, covering)]
+    moved = [Footprint(center=np.add(k.center, offset), normal=k.normal, radius=k.radius)
+             for k in keepouts]
+    pos, top, blocked = geometry._support_candidates(*far, moved, 0.002, seed=7)
+    expected = keepout_blocked_by_keepout(pos, top, moved, 0.002)
+    assert blocked.tolist() == expected.tolist()
+    assert 0.3 < expected.mean() < 0.8
 
 
 def test_batched_tangent_frame_equals_the_one_normal_form():

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from hybridskin.geometry import OffsetSpec, extrude_covering, offset_surface
 
 from hybridskin.mesh import Material, TriMesh, concat_meshes, make_box, validate_mesh
-from hybridskin.meshio import (load_mesh, load_obj, load_stl, save_obj,
+from hybridskin.meshio import (_weld, load_mesh, load_obj, load_stl, save_obj,
                                save_stl, save_stl_per_material)
 from references import (capsule_mesh, save_obj_by_line, save_stl_ascii, save_stl_by_face,
-                        save_stl_per_material_by_face)
+                        save_stl_per_material_by_face, weld_by_unique)
 
 
 def sorted_verts(mesh):
@@ -160,3 +162,90 @@ def test_obj_writer_equals_the_per_line_reference_byte_for_byte(tmp_path):
         save_obj(m, tmp_path / "new.obj")
         save_obj_by_line(m, tmp_path / "ref.obj")
         assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def stl_with_one_bad_coordinate(path, value, facet=3, ascii=False):
+    """A box STL whose facet (0-based) has `value` as its first corner's y."""
+    box = make_box((0.1, 0.1, 0.1))
+    if ascii:
+        save_stl_ascii(box, path)
+        lines = path.read_text().splitlines()
+        at = [i for i, line in enumerate(lines) if line.split()[:1] == ["vertex"]][3 * facet]
+        x, _, z = lines[at].split()[1:]
+        lines[at] = f"vertex {x} {value} {z}"
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        save_stl(box, path)
+        data = bytearray(path.read_bytes())
+        data[84 + 50 * facet + 16:84 + 50 * facet + 20] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("ascii", [False, True], ids=["binary", "ascii"])
+def test_stl_with_a_non_finite_coordinate_is_rejected_naming_the_file(tmp_path, value,
+                                                                      ascii):
+    path = stl_with_one_bad_coordinate(tmp_path / "link.stl", float(value), ascii=ascii)
+    with pytest.raises(ValueError, match=rf"^mesh {re.escape(str(path))}: facet 4 has a "
+                                         rf"non-finite coordinate$"):
+        load_stl(path, units="mm")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+def test_obj_with_a_non_finite_coordinate_is_rejected_naming_the_file(tmp_path, value):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 {value} 0\nf 1 2 3\n")
+    with pytest.raises(ValueError, match=rf"^mesh {re.escape(str(path))}: vertex 3 has a "
+                                         rf"non-finite coordinate$"):
+        load_mesh(path)
+
+
+def assert_welds_like_np_unique(tris):
+    verts, faces = _weld(tris)
+    want_verts, want_faces = weld_by_unique(tris)
+    assert verts.dtype == want_verts.dtype and faces.dtype == want_faces.dtype
+    assert verts.shape == want_verts.shape and np.array_equal(verts, want_verts)
+    assert faces.tobytes() == want_faces.tobytes()
+    assert np.array_equal(verts[faces], tris)
+    return verts, faces
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_weld_equals_np_unique_on_soups_with_duplicates(n):
+    rng = np.random.default_rng(n)
+    pool = rng.normal(size=(max(1, n // 3), 3))
+    tris = pool[rng.integers(0, len(pool), size=(n, 3))]
+    verts, faces = assert_welds_like_np_unique(tris)
+    assert len(verts) == len(np.unique(tris.reshape(-1, 3), axis=0))
+    assert verts.tobytes() == weld_by_unique(tris)[0].tobytes()
+
+
+def test_weld_of_single_triangles():
+    one = np.array([[[0.0, 1.0, 2.0], [0.0, 1.0, 1.0], [-3.0, 5.0, 0.0]]])
+    verts, faces = assert_welds_like_np_unique(one)
+    assert verts.tolist() == [[-3.0, 5.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0]]
+    assert faces.tolist() == [[2, 1, 0]]
+    point = np.full((1, 3, 3), 0.25)
+    verts, faces = assert_welds_like_np_unique(point)
+    assert verts.tolist() == [[0.25, 0.25, 0.25]] and faces.tolist() == [[0, 0, 0]]
+
+
+def test_weld_keeps_signed_zeros_as_one_positive_zero():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        tris = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(30, 3, 3))
+        verts, _ = assert_welds_like_np_unique(tris)
+        assert not np.signbit(verts[verts == 0.0]).any()
+
+
+def test_weld_of_the_binary_stl_writer_round_trip_is_np_uniques(tmp_path):
+    mesh = skin_like_mesh()
+    save_stl(mesh, tmp_path / "skin.stl")
+    data = (tmp_path / "skin.stl").read_bytes()
+    loaded = load_stl(tmp_path / "skin.stl", units="mm")
+    records = np.frombuffer(data, dtype=np.uint8, offset=84).reshape(-1, 50)
+    tris = records[:, 12:48].copy().view("<f4").astype(np.float64).reshape(-1, 3, 3) * 1e-3
+    want_verts, want_faces = weld_by_unique(tris)
+    assert loaded.vertices.tobytes() == want_verts.tobytes()
+    assert loaded.faces.tobytes() == want_faces.tobytes()
