@@ -33,23 +33,35 @@ _DISTANCE_ROWS = 1 << 14
 _TOF_RAYS = 1 << 14
 
 
+# Each primitive kind's maker and the arguments a primitive object may give.
+_PRIMITIVES = {
+    "box": (make_box, ("size", "center")),
+    "plane": (make_plane_patch, ("width", "height", "nx", "ny", "center")),
+    "sphere": (make_uv_sphere, ("radius", "n_lat", "n_lon", "center")),
+    "cylinder": (make_cylinder, ("radius", "height", "segments", "capped", "center")),
+}
+
+
 def _mesh_from_spec(spec, units="m"):
-    """Mesh path (str) or primitive dict -> TriMesh."""
+    """Mesh path (str) or primitive object -> TriMesh."""
     if isinstance(spec, str):
         return meshio.load_mesh(spec, units=units)
     if not isinstance(spec, dict):
-        raise ValueError("generation.mesh must be a path or a primitive dict")
+        raise ValueError(f"a mesh must be a path or a primitive object, not {spec!r}")
     kind = spec.get("kind")
+    if kind not in _PRIMITIVES:
+        raise ValueError(f"unknown primitive kind {kind!r}")
+    maker, names = _PRIMITIVES[kind]
     args = {k: v for k, v in spec.items() if k != "kind"}
+    for key in args:
+        if key not in names:
+            raise ValueError(f"primitive {kind} has no argument {key!r}; "
+                             f"it takes {', '.join(names)}")
     if "center" in args:
         args["center"] = tuple(args["center"])
     if "size" in args:
         args["size"] = tuple(args["size"])
-    makers = {"box": make_box, "plane": make_plane_patch,
-              "sphere": make_uv_sphere, "cylinder": make_cylinder}
-    if kind not in makers:
-        raise ValueError(f"unknown primitive kind {kind!r}")
-    return makers[kind](**args)
+    return maker(**args)
 
 
 def load_scene(path) -> Scene:
@@ -70,10 +82,11 @@ def load_scene(path) -> Scene:
                             tuple(kf.get("translation", (0.0, 0.0, 0.0))))
                 keyframes.append((float(kf["t"]), pose))
             keyframes.sort(key=lambda kv: kv[0])
-        objects.append(SceneObject(mesh=mesh,
-                                   conductive=cfgmod.boolean(entry.get("conductive", False),
-                                                             f"scene object {k} conductive"),
-                                   keyframes=keyframes,
+        conductive = entry.get("conductive", False)
+        if type(conductive) is not bool:
+            raise ValueError(f"scene object {k} conductive must be true or false, "
+                             f"not {conductive!r}")
+        objects.append(SceneObject(mesh=mesh, conductive=conductive, keyframes=keyframes,
                                    name=entry.get("name", "")))
     return Scene(objects=objects)
 
@@ -84,9 +97,9 @@ def load_scene(path) -> Scene:
 
 def cmd_generate(cfg, out_dir: Path) -> int:
     gen = cfg["generation"]
-    if gen.get("mesh") is None:
+    if gen["mesh"] is None:
         raise ValueError("config generation.mesh is required")
-    mesh = _mesh_from_spec(gen["mesh"], units=gen.get("mesh_units", "m"))
+    mesh = _mesh_from_spec(gen["mesh"], units=gen["mesh_units"])
 
     report = validate_mesh(mesh)
     if not report.is_valid:
@@ -96,14 +109,14 @@ def cmd_generate(cfg, out_dir: Path) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
 
-    strict = cfgmod.boolean(gen.get("strict", False), "config generation.strict")
+    strict = gen["strict"]
     dermis = offset_surface(mesh, OffsetSpec(gen["dermis_offset"]), strict=strict)
     covering = extrude_covering(dermis, OffsetSpec(gen["covering_offset"]),
                                 strict=strict)
     sites = layout.sample_sites(dermis, gen["site_count"], gen["site_min_dist"],
                                 seed=cfg["seed"])
-    ring_spec = cfgmod.build_spec(layout.RingSpec, cfg, "generation.ring")
-    mount_spec = cfgmod.build_spec(layout.MountSpec, cfg, "generation.mount")
+    ring_spec = layout.RingSpec(**gen["ring"])
+    mount_spec = layout.MountSpec(**gen["mount"])
     assembly = layout.compose_skin(
         dermis, covering, sites, ring_spec, mount_spec,
         support_spacing=gen["support"]["spacing"],
@@ -136,21 +149,18 @@ def cmd_generate(cfg, out_dir: Path) -> int:
 def cmd_simulate(cfg, out_dir: Path) -> int:
     sim = cfg["simulation"]
     for key in ("chain", "trajectory", "scene"):
-        if sim.get(key) is None:
+        if sim[key] is None:
             raise ValueError(f"config simulation.{key} is required")
-    manifest = layout.read_manifest(sim["manifest"]) if sim.get("manifest") else None
+    manifest = layout.read_manifest(sim["manifest"]) if sim["manifest"] else None
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
     scene = load_scene(sim["scene"])
-    duration = float(sim["duration"])
-    if not np.isfinite(duration):
-        raise ValueError(f"config simulation.duration must be finite, not {duration}")
-
-    tof_spec = cfgmod.build_spec(tof.ToFSpec, cfg, "sensing.tof")
-    meas = cfgmod.build_spec(sc.MeasurementSpec, cfg, "sensing.measurement")
-    electrode = cfgmod.build_spec(sc.ElectrodeModel, cfg, "sensing.electrode")
-    tof_active = cfgmod.boolean(cfg["sensing"].get("tof_active", True),
-                                "config sensing.tof_active")
+    duration = sim["duration"]
+    sensing = cfg["sensing"]
+    tof_spec = tof.ToFSpec(**sensing["tof"])
+    meas = sc.MeasurementSpec(**sensing["measurement"])
+    electrode = sc.ElectrodeModel(**sensing["electrode"])
+    tof_active = sensing["tof_active"]
 
     site_ids = None
     if manifest is not None:
@@ -262,11 +272,11 @@ def _conductive_distances(scene: Scene, times, points):
 def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
     sim = cfg["simulation"]
     for key in ("chain", "trajectory"):
-        if sim.get(key) is None:
+        if sim[key] is None:
             raise ValueError(f"config simulation.{key} is required")
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
-    tof_spec = cfgmod.build_spec(tof.ToFSpec, cfg, "sensing.tof")
+    tof_spec = tof.ToFSpec(**cfg["sensing"]["tof"])
     # The log's lines are freed before reconstruct runs, which lowers its
     # peak memory.
     frames = logs.tof_frames_from_records(logs.read_log(log_path),
@@ -318,7 +328,7 @@ def load_labels(path):
 def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
     table = logs.sc_samples_from_records(logs.read_log(log_path))
     labels = load_labels(labels_path)
-    threshold = float(cfg.get("snr_threshold", analysis.DEFAULT_SNR_THRESHOLD))
+    threshold = cfg["snr_threshold"]
 
     # One stable sort groups the samples by site, each site's in log order.
     order = np.argsort(table.site_ids, kind="stable")
@@ -372,24 +382,22 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
 
 def cmd_calibrate(cfg, out_dir: Path) -> int:
     tbl = cfg["table"]
-    targets = {k: tuple(v) for k, v in tbl["targets"].items()}
-    electrode = cfgmod.build_spec(sc.ElectrodeModel, cfg, "sensing.electrode")
+    if tbl["seeds"] < 1:
+        raise ValueError(f"config table.seeds must be at least 1, not {tbl['seeds']}")
+    electrode = sc.ElectrodeModel(**cfg["sensing"]["electrode"])
     model = sc.fit_snr_table(
-        table=targets,
+        table=tbl["targets"],
         calibration_column=tbl["calibration_column"],
-        signal_delta=float(tbl["signal_delta"]),
-        measurement=cfgmod.build_spec(sc.MeasurementSpec, cfg, "sensing.measurement"),
-        d0=float(electrode.d0), c0=float(electrode.c0))
+        signal_delta=tbl["signal_delta"],
+        measurement=sc.MeasurementSpec(**cfg["sensing"]["measurement"]),
+        d0=electrode.d0, c0=electrode.c0)
 
-    threshold = float(cfg.get("snr_threshold", analysis.DEFAULT_SNR_THRESHOLD))
-    n_seeds = int(tbl.get("seeds", 1))
     reports = []
-    for s in range(n_seeds):
-        cell_logs = analysis.build_cell_logs(model, int(tbl["samples_per_ring"]),
-                                             int(tbl["rings"]),
+    for s in range(tbl["seeds"]):
+        cell_logs = analysis.build_cell_logs(model, tbl["samples_per_ring"], tbl["rings"],
                                              seed=cfg["seed"] + s)
         reports.append(analysis.evaluate_configurations(cell_logs,
-                                                        threshold=threshold))
+                                                        threshold=cfg["snr_threshold"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     cal = model.calibration
@@ -413,7 +421,7 @@ def cmd_calibrate(cfg, out_dir: Path) -> int:
         "orderings_ok": all(r.column_order_ok and r.squeeze_above_rest
                             for r in reports),
         "all_contact": all(r.all_contact for r in reports),
-        "seeds": n_seeds,
+        "seeds": tbl["seeds"],
     }
     (out_dir / "calibration.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,14 +1,14 @@
-"""Run configuration: JSON file + dotted --set overrides.
+"""Run configuration: JSON file + dotted --set overrides over the defaults.
 
-The schema is a nested dict (see DEFAULT_CONFIG and README). Every run
-writes its fully resolved configuration next to its outputs so results can
-be reproduced from the artifacts alone.
+DEFAULT_CONFIG is the schema: its keys are the only keys, and each leaf's
+default gives the leaf's type (see README). Every run writes its fully
+resolved configuration next to its outputs so results can be reproduced
+from the artifacts alone.
 """
 
 import copy
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .sc import REFERENCE_SNR_TABLE
@@ -58,16 +58,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if key in out and isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def _parse_value(text):
     try:
         return json.loads(text)
@@ -93,14 +83,15 @@ def apply_overrides(config, overrides):
 
 
 def load_config(path=None, overrides=None, seed=None):
-    config = DEFAULT_CONFIG
-    if path is not None:
-        user = json.loads(Path(path).read_text())
-        config = _deep_merge(config, user)
+    """The file at path, then overrides, then seed, checked against
+    DEFAULT_CONFIG, which gives every key they leave out (see _checked)."""
+    config = json.loads(Path(path).read_text()) if path is not None else {}
+    if type(config) is not dict:
+        raise ValueError(f"config file {path} must be an object, not {config!r}")
     config = apply_overrides(config, overrides)
     if seed is not None:
-        config["seed"] = int(seed)
-    return config
+        config["seed"] = seed
+    return _checked(config, DEFAULT_CONFIG)
 
 
 def write_resolved_config(config, out_dir):
@@ -110,35 +101,49 @@ def write_resolved_config(config, out_dir):
 
 
 # ---------------------------------------------------------------------------
-# Typed sections
+# Schema
 # ---------------------------------------------------------------------------
 
-def build_spec(cls, config, path):
-    """cls (a spec dataclass) from the config section at dotted path.
+def _finite(value):
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
-    Every key must name a field of cls; an int field takes a JSON integer
-    and a float field a finite JSON number, never a boolean. A fault
-    raises ValueError naming section.key.
+
+def _pairs(value):
+    return type(value) is dict and all(
+        type(pair) is list and len(pair) == 2 and all(map(_finite, pair))
+        for pair in value.values())
+
+
+# What a leaf takes, by its default's type: its name in an error, and a test.
+_KINDS = {int: ("an integer", lambda value: type(value) is int),
+          float: ("a finite number", _finite),
+          bool: ("true or false", lambda value: type(value) is bool),
+          str: ("a string", lambda value: type(value) is str),
+          dict: ("an object", lambda value: type(value) is dict)}
+# The leaves whose default does not give their type.
+_PATH = ("a path or null", lambda value: value is None or type(value) is str)
+_UNIONS = {"generation.mesh": ("a path, a primitive object or null",
+                               lambda value: value is None or type(value) in (str, dict)),
+           "simulation.manifest": _PATH, "simulation.chain": _PATH,
+           "simulation.trajectory": _PATH, "simulation.scene": _PATH,
+           "table.targets": ("an object of pairs of finite numbers", _pairs)}
+
+
+def _checked(value, default, path=""):
+    """value typed by default, the schema. Every key must be one of
+    default's, and every leaf takes what _KINDS gives for its default's type
+    (a number comes back as a float), or what _UNIONS gives for its path; a
+    union leaf is taken whole. Keys value lacks come from default. A fault
+    raises ValueError naming the key's dotted path.
     """
-    section = config
-    for part in path.split("."):
-        section = section[part]
-    if type(section) is not dict:
-        raise ValueError(f"config {path} must be an object, not {section!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in section.items():
-        if key not in types:
-            raise ValueError(f"config {path}.{key} is not a key of {path}")
-        if types[key] is int and type(value) is not int:
-            raise ValueError(f"config {path}.{key} must be an integer, not {value!r}")
-        if types[key] is float and not (type(value) in (int, float)
-                                         and abs(value) <= sys.float_info.max):
-            raise ValueError(f"config {path}.{key} must be a finite number, not {value!r}")
-    return cls(**section)
-
-
-def boolean(value, name):
-    """value, which must be a JSON boolean; name says where it was read."""
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be true or false, not {value!r}")
-    return value
+    kind, takes = _UNIONS.get(path) or _KINDS[type(default)]
+    if not takes(value):
+        raise ValueError(f"config {path} must be {kind}, not {value!r}")
+    if path in _UNIONS or type(default) is not dict:
+        return float(value) if type(default) is float else value
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in default:
+            raise ValueError(f"config {prefix}{key} is not a key of {path or 'the config'}")
+    return {key: _checked(value[key], sub, prefix + key) if key in value else copy.deepcopy(sub)
+            for key, sub in default.items()}

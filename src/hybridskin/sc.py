@@ -220,6 +220,9 @@ def fit_snr_table(table=None, calibration_column: str = "no_covering",
     for col in TABLE_COLUMNS:
         if col not in table:
             raise CalibrationError(f"SNR table missing column {col!r}")
+    if calibration_column not in TABLE_COLUMNS:
+        raise ValueError(f"calibration column {calibration_column!r} is not one of "
+                         f"{', '.join(TABLE_COLUMNS)}")
     if measurement is None:
         measurement = MeasurementSpec()
 

@@ -213,8 +213,10 @@ def test_simulate_zero_duration_writes_empty_log(tmp_path):
     assert read_records(out / "samples.jsonl") == []
 
 
-@pytest.mark.parametrize("duration", ["Infinity", "-Infinity", "NaN", "1e999"])
-def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, duration):
+@pytest.mark.parametrize("duration,value", [("Infinity", "inf"), ("-Infinity", "-inf"),
+                                            ("NaN", "nan"), ("1e999", "inf")])
+def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, duration,
+                                                value):
     # Unchecked, an infinite duration never ends the SC schedule's loop.
     def unbounded(*args):
         raise AssertionError("schedule_streams ran on a non-finite duration")
@@ -224,7 +226,7 @@ def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, d
                  "--out", str(tmp_path / "sim")]) == 2
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert error["error"] == "ValueError"
-    assert error["message"].startswith("config simulation.duration must be finite")
+    assert error["message"] == f"config simulation.duration must be a finite number, not {value}"
 
 
 @pytest.mark.parametrize("site_id,reason", [
@@ -308,6 +310,46 @@ def test_generate_rejects_a_generation_value_of_the_wrong_type(tmp_path, capsys,
     assert main(["generate", "--config", cfg, "--set", override,
                  "--out", str(tmp_path / "gen")]) == 2
     assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("generation.site_count=2.5", "config generation.site_count must be an integer, not 2.5"),
+    ("generation.site_count=true", "config generation.site_count must be an integer, not True"),
+    ("generation.site_cout=5", "config generation.site_cout is not a key of generation"),
+    ("generation.rng.segments=3", "config generation.rng is not a key of generation"),
+    ("generation.support.segments=12.5",
+     "config generation.support.segments must be an integer, not 12.5"),
+    ("seed=1.5", "config seed must be an integer, not 1.5"),
+    ("generation.mesh=1", "config generation.mesh must be a path, a primitive object or null, "
+                          "not 1"),
+], ids=["float_site_count", "boolean_site_count", "misspelt_key", "misspelt_section",
+        "float_support_segments", "float_seed", "numeric_mesh"])
+def test_generate_rejects_a_config_fault_naming_the_key(tmp_path, capsys, override, reason):
+    cfg = generate_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--set", override,
+                 "--out", str(tmp_path / "gen")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert not (tmp_path / "gen").exists()
+
+
+def test_generate_rejects_an_unknown_primitive_argument(tmp_path, capsys):
+    cfg = generate_config(tmp_path, mesh={"kind": "box", "sise": [0.1, 0.1, 0.1]})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": "primitive box has no argument 'sise'; it takes size, center"}
+
+
+def test_simulate_rejects_an_unknown_primitive_argument_of_a_scene_object(tmp_path, capsys):
+    cfg = wall_fixture(tmp_path)
+    scene = {"objects": [{"name": "ball",
+                          "primitive": {"kind": "sphere", "radius": 0.1, "segments": 8}}]}
+    write_json(tmp_path / "scene.json", scene)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": "primitive sphere has no argument 'segments'; "
+                   "it takes radius, n_lat, n_lon, center"}
 
 
 def with_chain(cfg_path, edit):
@@ -1043,6 +1085,23 @@ def test_calibrate_rejects_a_sensing_value_of_the_wrong_type(tmp_path, capsys, o
                                                             reason):
     assert main(["calibrate", "--set", override, "--out", str(tmp_path / "cal")]) == 2
     assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("table.seeds=1.5", "config table.seeds must be an integer, not 1.5"),
+    ("table.seeds=0", "config table.seeds must be at least 1, not 0"),
+    ('snr_threshold="7"', "config snr_threshold must be a finite number, not '7'"),
+    ('table.targets={"no_covering": [null, 50], "covering_rest": [37, 13], '
+     '"covering_squeeze": [45, 22]}',
+     "config table.targets must be an object of pairs of finite numbers, not "
+     "{'no_covering': [None, 50], 'covering_rest': [37, 13], 'covering_squeeze': [45, 22]}"),
+    ("table.calibration_column=bogus",
+     "calibration column 'bogus' is not one of no_covering, covering_rest, covering_squeeze"),
+], ids=["float_seeds", "zero_seeds", "string_threshold", "null_target", "unknown_column"])
+def test_calibrate_rejects_a_table_fault_naming_it(tmp_path, capsys, override, reason):
+    assert main(["calibrate", "--set", override, "--out", str(tmp_path / "cal")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert not (tmp_path / "cal").exists()
 
 
 def test_calibrate_infeasible_table_exits_4(tmp_path, capsys):

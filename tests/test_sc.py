@@ -332,3 +332,9 @@ def test_simulated_cells_hit_expected_snr():
 def test_fit_rejects_missing_column():
     with pytest.raises(CalibrationError):
         fit_snr_table(table={"no_covering": (120, 50)})
+
+
+def test_fit_rejects_an_unknown_calibration_column():
+    with pytest.raises(ValueError, match="calibration column 'bogus' is not one of "
+                                         "no_covering, covering_rest, covering_squeeze"):
+        fit_snr_table(calibration_column="bogus")
