@@ -20,6 +20,7 @@ from .sc import TABLE_COLUMNS, TableModel, simulate_cell_counts
 from .tof import ToFSpec, zone_rays
 
 DEFAULT_SNR_THRESHOLD = 7.0
+SNR_CSV_HEADER = "config,ring,mu_n,sigma_n,mu,snr,contact"
 MIN_CELL_RINGS = 3        # rings per table cell
 MIN_CELL_SAMPLES = 1000   # inactive and active samples per ring
 # One-sided 99 % normal quantile: the pressure ordering is a 99 % claim.
@@ -120,6 +121,11 @@ class SnrReport:
     snr: float
     contact: bool
 
+    def csv_row(self, config):
+        """This report's snr.csv row (SNR_CSV_HEADER) under the config label."""
+        return (f"{config},{self.site_id},{self.mu_n:.6f},{self.sigma_n:.6f},"
+                f"{self.mu:.6f},{self.snr:.6f},{str(self.contact).lower()}")
+
 
 def snr(inactive, active, threshold: float = DEFAULT_SNR_THRESHOLD,
         site_id: int = -1) -> SnrReport:
@@ -177,12 +183,10 @@ class TableReport:
     all_contact: bool
 
     def csv_rows(self):
-        rows = ["config,ring,mu_n,sigma_n,mu,snr,contact"]
+        rows = [SNR_CSV_HEADER]
         for (column, with_tof), stats in sorted(self.cells.items()):
             cfg = f"{column}/{'with_tof' if with_tof else 'no_tof'}"
-            for r in stats.ring_reports:
-                rows.append(f"{cfg},{r.site_id},{r.mu_n:.6f},{r.sigma_n:.6f},"
-                            f"{r.mu:.6f},{r.snr:.6f},{str(r.contact).lower()}")
+            rows += [r.csv_row(cfg) for r in stats.ring_reports]
         return rows
 
     def summary_text(self):
@@ -215,7 +219,8 @@ def evaluate_configurations(cell_logs,
         grouped.setdefault((log.column, bool(log.with_tof)), []).append(log)
 
     cells = {}
-    for key, logs in grouped.items():
+    for key in ((c, w) for c in TABLE_COLUMNS for w in (True, False)):
+        logs = grouped.get(key, [])
         if len(logs) < MIN_CELL_RINGS:
             raise InsufficientSamplesError(
                 f"cell {key} has {len(logs)} ring(s), need >= {MIN_CELL_RINGS}")
@@ -234,11 +239,10 @@ def evaluate_configurations(cell_logs,
 
     column_order_ok = all(
         cells[(c, False)].snr_mean > cells[(c, True)].snr_mean
-        for c in TABLE_COLUMNS if (c, False) in cells and (c, True) in cells)
+        for c in TABLE_COLUMNS)
     squeeze_above_rest = all(
         cells[("covering_squeeze", w)].snr_mean > cells[("covering_rest", w)].snr_mean
-        for w in (True, False)
-        if ("covering_squeeze", w) in cells and ("covering_rest", w) in cells)
+        for w in (True, False))
     all_contact = all(s.contact for s in cells.values())
     return TableReport(cells=cells, threshold=threshold,
                        column_order_ok=column_order_ok,

@@ -33,12 +33,20 @@ _DISTANCE_ROWS = 1 << 14
 _TOF_RAYS = 1 << 14
 
 
+# What a primitive argument takes: its name in an error, and a test.
+_NUMBER, _INTEGER, _BOOL = (cfgmod._KINDS[t] for t in (float, int, bool))
+_VEC3 = ("a list of 3 finite numbers",
+         lambda value: type(value) is list and len(value) == 3
+         and all(map(cfgmod._finite, value)))
 # Each primitive kind's maker and the arguments a primitive object may give.
 _PRIMITIVES = {
-    "box": (make_box, ("size", "center")),
-    "plane": (make_plane_patch, ("width", "height", "nx", "ny", "center")),
-    "sphere": (make_uv_sphere, ("radius", "n_lat", "n_lon", "center")),
-    "cylinder": (make_cylinder, ("radius", "height", "segments", "capped", "center")),
+    "box": (make_box, {"size": _VEC3, "center": _VEC3}),
+    "plane": (make_plane_patch, {"width": _NUMBER, "height": _NUMBER, "nx": _INTEGER,
+                                 "ny": _INTEGER, "center": _VEC3}),
+    "sphere": (make_uv_sphere, {"radius": _NUMBER, "n_lat": _INTEGER, "n_lon": _INTEGER,
+                                "center": _VEC3}),
+    "cylinder": (make_cylinder, {"radius": _NUMBER, "height": _NUMBER, "segments": _INTEGER,
+                                 "capped": _BOOL, "center": _VEC3}),
 }
 
 
@@ -51,16 +59,16 @@ def _mesh_from_spec(spec, units="m"):
     kind = spec.get("kind")
     if kind not in _PRIMITIVES:
         raise ValueError(f"unknown primitive kind {kind!r}")
-    maker, names = _PRIMITIVES[kind]
+    maker, kinds = _PRIMITIVES[kind]
     args = {k: v for k, v in spec.items() if k != "kind"}
-    for key in args:
-        if key not in names:
+    for key, value in args.items():
+        if key not in kinds:
             raise ValueError(f"primitive {kind} has no argument {key!r}; "
-                             f"it takes {', '.join(names)}")
-    if "center" in args:
-        args["center"] = tuple(args["center"])
-    if "size" in args:
-        args["size"] = tuple(args["size"])
+                             f"it takes {', '.join(kinds)}")
+        what, takes = kinds[key]
+        if not takes(value):
+            raise ValueError(f"primitive {kind} argument {key} must be {what}, "
+                             f"not {value!r}")
     return maker(**args)
 
 
@@ -337,7 +345,7 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
     by_site = {int(ids[start]): slice(start, stop)
                for start, stop in zip(np.r_[0, cuts], np.r_[cuts, len(ids)]) if stop > start}
 
-    rows = ["config,ring,mu_n,sigma_n,mu,snr,contact"]
+    rows = [analysis.SNR_CSV_HEADER]
     summary = []
     omitted = sorted(set(by_site) - set(labels))
     pressure_lines = []
@@ -349,9 +357,7 @@ def cmd_snr(cfg, log_path, labels_path, out_dir: Path) -> int:
         rest, squeeze = states == analysis.ACTIVE_REST, states == analysis.ACTIVE_SQUEEZE
         report = analysis.snr(site_counts[states == analysis.INACTIVE],
                               site_counts[rest | squeeze], threshold, site_id=site_id)
-        rows.append(f"site{site_id},{site_id},{report.mu_n:.6f},"
-                    f"{report.sigma_n:.6f},{report.mu:.6f},{report.snr:.6f},"
-                    f"{str(report.contact).lower()}")
+        rows.append(report.csv_row(f"site{site_id}"))
         summary.append(f"site {site_id}: snr={report.snr:.2f} "
                        f"contact={str(report.contact).lower()}")
         if squeeze.any() and rest.any():

@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CouplingGapError, SaturationError
-from .geometry import (Footprint, cylinder_faces, generate_supports, tangent_frame,
-                       unit_circle)
+from .geometry import (Footprint, _greedy_place, cylinder_faces, generate_supports,
+                       tangent_frame, unit_circle)
 from .mesh import Material, TriMesh, sample_surface
 
 BARY_TOL = 1e-9
 DEFAULT_COUPLING_GAP = 0.001  # m, radial clearance between mount and ring
-_CLEAR_ROWS = 1 << 16  # (point, site) rows per distance test in sample_sites
 MOUNT_SEGMENTS = 32  # sides of a mount's cylinder
 
 
@@ -90,31 +89,14 @@ class SkinAssembly:
                 raise ValueError(f"mount references unknown site {sid}")
 
 
-def _clear_of(points, sites, min_sq):
-    """Mask of the points whose squared distance to every site is >= min_sq.
-
-    Each (point, site) row goes through the same einsum as a one-point
-    test, so the distances carry the same bits whatever the batch size.
-    At most _CLEAR_ROWS rows are held at once.
-    """
-    clear = np.ones(len(points), dtype=bool)
-    if len(sites) == 0:
-        return clear
-    step = max(1, _CLEAR_ROWS // len(sites))
-    for s in range(0, len(points), step):
-        diff = (sites[None, :, :] - points[s:s + step, None, :]).reshape(-1, 3)
-        d2 = np.einsum("ij,ij->i", diff, diff).reshape(-1, len(sites))
-        clear[s:s + step] = ~np.any(d2 < min_sq, axis=1)
-    return clear
-
-
 def sample_sites(dermis: TriMesh, count: int, min_dist: float, seed: int,
                  max_attempts: int = None):
     """Place `count` sites with pairwise distance >= min_dist by dart throwing.
 
     Proposals are area-uniform over the dermis; a proposal closer than
-    min_dist to an accepted site is rejected. Raises SaturationError when
-    the attempt budget (default 10,000 x count) runs out first.
+    min_dist to an accepted site is rejected, by the same greedy pass that
+    spaces the supports (geometry._greedy_place). Raises SaturationError
+    when the attempt budget (default 10,000 x count) runs out first.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -125,32 +107,29 @@ def sample_sites(dermis: TriMesh, count: int, min_dist: float, seed: int,
     rng = np.random.default_rng(seed)
     face_normals = dermis.face_normals()
 
-    accepted = []
-    min_sq = min_dist * min_dist
+    pos, faces, barys = np.empty((0, 3)), [], []
     attempts = 0
     batch = max(64, count)
-    while len(accepted) < count:
+    while len(pos) < count:
         if attempts >= max_attempts:
             raise SaturationError(
-                f"placed {len(accepted)}/{count} sites after {attempts} attempts "
+                f"placed {len(pos)}/{count} sites after {attempts} attempts "
                 f"(min_dist={min_dist})")
         n = min(batch, max_attempts - attempts)
-        pos, face_idx, bary = sample_surface(dermis, n, rng)
-        # The whole batch against the sites accepted before it in one pass;
-        # a survivor then only needs the sites this batch has accepted.
-        clear = _clear_of(pos, np.asarray([a[0] for a in accepted]), min_sq)
-        fresh = []
-        for c in range(n):
-            attempts += 1
-            if not clear[c] or not _clear_of(pos[c:c + 1], pos[fresh], min_sq)[0]:
-                continue
-            fresh.append(c)
-            accepted.append((pos[c], int(face_idx[c]), bary[c]))
-            if len(accepted) == count:
-                break
+        p, f, b = sample_surface(dermis, n, rng)
+        # The sites placed so far go first: they are clear of each other, so
+        # the greedy pass keeps them all and takes a proposal only when it
+        # clears them and the proposals taken before it in this batch.
+        placed = len(pos)
+        taken = _greedy_place(np.vstack([pos, p]), np.zeros(placed + n, dtype=bool),
+                              min_dist)[placed:count] - placed
+        pos = np.vstack([pos, p[taken]])
+        faces += f[taken].tolist()
+        barys += list(b[taken])
+        attempts += int(taken[-1]) + 1 if len(pos) == count else n
 
     sites = []
-    for sid, (p, f, b) in enumerate(accepted):
+    for sid, (p, f, b) in enumerate(zip(pos, faces, barys)):
         sites.append(SurfaceSite(site_id=sid, face_index=f,
                                  barycentric=tuple(b), position=tuple(p),
                                  normal=tuple(face_normals[f])))

@@ -23,6 +23,14 @@ class Material(IntEnum):
         return "_" + self.name.lower()
 
 
+def triangle_normals(tri):
+    """Unit normals of (m, 3, 3) face corners; a degenerate face keeps its zero normal."""
+    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    lens = np.linalg.norm(n, axis=1)
+    lens[lens == 0.0] = 1.0
+    return n / lens[:, None]
+
+
 @dataclass
 class TriMesh:
     """Vertices (n,3) float64, faces (m,3) int64, face_material (m,) int8."""
@@ -61,11 +69,7 @@ class TriMesh:
 
     def face_normals(self):
         """Unit face normals; a degenerate face keeps its zero normal."""
-        tri = self.triangles()
-        n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        lens = np.linalg.norm(n, axis=1)
-        lens[lens == 0.0] = 1.0
-        return n / lens[:, None]
+        return triangle_normals(self.triangles())
 
     def face_areas(self):
         tri = self.triangles()

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Material, TriMesh
+from .mesh import Material, TriMesh, triangle_normals
 
 _UNIT_SCALE = {"m": 1.0, "meters": 1.0, "mm": 1e-3, "millimeters": 1e-3}
 
@@ -93,9 +93,10 @@ _STL_RECORD = np.dtype([("normal", "<f4", (3,)), ("corners", "<f4", (3, 3)), ("a
 
 def save_stl(mesh: TriMesh, path):
     """Write a single binary STL containing every face of the mesh."""
+    tri = mesh.triangles()
     records = np.zeros(mesh.n_faces, dtype=_STL_RECORD)
-    records["normal"] = mesh.face_normals()
-    records["corners"] = mesh.triangles()
+    records["normal"] = triangle_normals(tri)
+    records["corners"] = tri
     with open(path, "wb") as f:
         f.write(b"hybridskin binary stl".ljust(80, b"\0") + struct.pack("<I", mesh.n_faces))
         records.tofile(f)

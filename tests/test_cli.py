@@ -352,6 +352,40 @@ def test_simulate_rejects_an_unknown_primitive_argument_of_a_scene_object(tmp_pa
                    "it takes radius, n_lat, n_lon, center"}
 
 
+MISTYPED_PRIMITIVES = pytest.mark.parametrize("primitive,reason", [
+    ({"kind": "box", "size": 5}, "primitive box argument size must be a list of 3 finite "
+                                 "numbers, not 5"),
+    ({"kind": "sphere", "radius": "x"}, "primitive sphere argument radius must be a finite "
+                                        "number, not 'x'"),
+    ({"kind": "plane", "nx": 2.5}, "primitive plane argument nx must be an integer, not 2.5"),
+    ({"kind": "plane", "ny": True}, "primitive plane argument ny must be an integer, not True"),
+    ({"kind": "cylinder", "capped": 1}, "primitive cylinder argument capped must be true or "
+                                        "false, not 1"),
+    ({"kind": "box", "center": [0.0, 0.0]}, "primitive box argument center must be a list of "
+                                            "3 finite numbers, not [0.0, 0.0]"),
+], ids=["scalar_size", "string_radius", "float_nx", "boolean_ny", "integer_capped",
+        "short_center"])
+
+
+@MISTYPED_PRIMITIVES
+def test_generate_rejects_a_primitive_argument_of_the_wrong_type(tmp_path, capsys, primitive,
+                                                                reason):
+    cfg = generate_config(tmp_path, mesh=primitive)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert not (tmp_path / "gen").exists()
+
+
+@MISTYPED_PRIMITIVES
+def test_simulate_rejects_a_scene_primitive_argument_of_the_wrong_type(tmp_path, capsys,
+                                                                       primitive, reason):
+    cfg = wall_fixture(tmp_path)
+    write_json(tmp_path / "scene.json", {"objects": [{"name": "obj", "primitive": primitive}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert not (tmp_path / "sim").exists()
+
+
 def with_chain(cfg_path, edit):
     """The config at cfg_path, its chain file changed in place by edit(chain)."""
     chain_path = Path(json.loads(Path(cfg_path).read_text())["simulation"]["chain"])
@@ -1101,6 +1135,14 @@ def test_calibrate_rejects_a_sensing_value_of_the_wrong_type(tmp_path, capsys, o
 def test_calibrate_rejects_a_table_fault_naming_it(tmp_path, capsys, override, reason):
     assert main(["calibrate", "--set", override, "--out", str(tmp_path / "cal")]) == 2
     assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert not (tmp_path / "cal").exists()
+
+
+def test_calibrate_without_rings_names_the_empty_cell(tmp_path, capsys):
+    assert main(["calibrate", "--set", "table.rings=0", "--out", str(tmp_path / "cal")]) == 2
+    assert error_of(capsys) == {
+        "error": "InsufficientSamplesError",
+        "message": "cell ('no_covering', True) has 0 ring(s), need >= 3"}
     assert not (tmp_path / "cal").exists()
 
 

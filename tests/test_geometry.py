@@ -535,6 +535,21 @@ def test_support_placement_equals_the_grid_hash_reference(capsule_skin, spacing,
         assert len(expected) == placed
 
 
+def test_greedy_pass_keeps_the_points_it_accepted_when_they_are_prepended(capsule_skin):
+    # sample_sites prepends the sites it has placed to each batch of proposals.
+    dermis, covering, keepouts = capsule_skin
+    pos, _, blocked = geometry._support_candidates(dermis, covering, keepouts, 0.002, seed=7)
+    kept = np.empty((0, 3))
+    for chunk in np.array_split(np.arange(len(pos)), 4):
+        batch = np.vstack([kept, pos[chunk]])
+        held = np.concatenate([np.zeros(len(kept), dtype=bool), blocked[chunk]])
+        got = geometry._greedy_place(batch, held, 0.02)
+        assert got.tolist() == greedy_grid_hash(batch, held, 0.02)
+        assert got[:len(kept)].tolist() == list(range(len(kept)))
+        kept = batch[got]
+    assert kept.tobytes() == pos[greedy_grid_hash(pos, blocked, 0.02)].tobytes()
+
+
 @pytest.mark.parametrize("segments", [3, 12, 17])
 def test_supports_equal_the_per_support_reference_bit_for_bit(capsule_skin, segments):
     dermis, covering, keepouts = capsule_skin

@@ -88,9 +88,7 @@ def reference_sample_sites(dermis, count, min_dist, seed, max_attempts):
     return accepted
 
 
-@pytest.mark.parametrize("clear_rows", [layout._CLEAR_ROWS, 5])
-def test_batched_sites_equal_one_at_a_time_dart_throwing(monkeypatch, clear_rows):
-    monkeypatch.setattr(layout, "_CLEAR_ROWS", clear_rows)
+def test_batched_sites_equal_one_at_a_time_dart_throwing():
     link = make_cylinder(0.06, 0.5, 48)
     patch = make_plane_patch(0.2, 0.2, 8, 8)
     cases = [(link, 40, 0.03, seed, 400_000) for seed in range(4)]
