@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 validation failure, 3 I/O failure, 4 numerical
 """
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ import numpy as np
 from . import analysis, config as cfgmod, layout, logs, meshio, sc, tof
 from .errors import CalibrationError, SkinError
 from .geometry import OffsetSpec, extrude_covering, offset_surface
-from .kinematics import (Pose, Scene, SceneObject, load_chain, load_trajectory,
-                         mount_poses)
+from .kinematics import (POSE_SCHEMA, Pose, Scene, SceneObject, load_chain,
+                         load_trajectory, mount_poses)
 from .mesh import (concat_meshes, make_box, make_cylinder,
                    make_plane_patch, make_uv_sphere, validate_mesh)
 from .raycast import Bvh, TriangleSet, point_mesh_distance
@@ -33,69 +34,47 @@ _DISTANCE_ROWS = 1 << 14
 _TOF_RAYS = 1 << 14
 
 
-# What a primitive argument takes: its name in an error, and a test.
-_NUMBER, _INTEGER, _BOOL = (cfgmod._KINDS[t] for t in (float, int, bool))
-_VEC3 = ("a list of 3 finite numbers",
-         lambda value: type(value) is list and len(value) == 3
-         and all(map(cfgmod._finite, value)))
-# Each primitive kind's maker and the arguments a primitive object may give.
-_PRIMITIVES = {
-    "box": (make_box, {"size": _VEC3, "center": _VEC3}),
-    "plane": (make_plane_patch, {"width": _NUMBER, "height": _NUMBER, "nx": _INTEGER,
-                                 "ny": _INTEGER, "center": _VEC3}),
-    "sphere": (make_uv_sphere, {"radius": _NUMBER, "n_lat": _INTEGER, "n_lon": _INTEGER,
-                                "center": _VEC3}),
-    "cylinder": (make_cylinder, {"radius": _NUMBER, "height": _NUMBER, "segments": _INTEGER,
-                                 "capped": _BOOL, "center": _VEC3}),
-}
+# Each primitive kind's maker. A primitive object takes every keyword
+# argument of its maker except material, typed by its default.
+_PRIMITIVES = {"box": make_box, "plane": make_plane_patch, "sphere": make_uv_sphere,
+               "cylinder": make_cylinder}
+
+# The scene file as a schema for config.checked. An object gives a mesh path
+# or a primitive object, checked when its mesh is made.
+SCENE_SCHEMA = {"objects": [{"name": "", "mesh": "", "units": "m", "primitive": {},
+                             "conductive": False,
+                             "keyframes": [{"t": float, **POSE_SCHEMA}]}]}
 
 
 def _mesh_from_spec(spec, units="m"):
     """Mesh path (str) or primitive object -> TriMesh."""
     if isinstance(spec, str):
         return meshio.load_mesh(spec, units=units)
-    if not isinstance(spec, dict):
-        raise ValueError(f"a mesh must be a path or a primitive object, not {spec!r}")
     kind = spec.get("kind")
-    if kind not in _PRIMITIVES:
-        raise ValueError(f"unknown primitive kind {kind!r}")
-    maker, kinds = _PRIMITIVES[kind]
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    for key, value in args.items():
-        if key not in kinds:
-            raise ValueError(f"primitive {kind} has no argument {key!r}; "
-                             f"it takes {', '.join(kinds)}")
-        what, takes = kinds[key]
-        if not takes(value):
-            raise ValueError(f"primitive {kind} argument {key} must be {what}, "
-                             f"not {value!r}")
+    if type(kind) is not str or kind not in _PRIMITIVES:
+        raise ValueError(f"primitive kind must be one of {', '.join(_PRIMITIVES)}, "
+                         f"not {kind!r}")
+    maker = _PRIMITIVES[kind]
+    schema = {name: p.default for name, p in inspect.signature(maker).parameters.items()
+              if name != "material"}
+    args = cfgmod.checked(spec, {"kind": kind, **schema}, "primitive")
+    del args["kind"]
     return maker(**args)
 
 
 def load_scene(path) -> Scene:
-    data = json.loads(Path(path).read_text())
     objects = []
-    for k, entry in enumerate(data.get("objects", [])):
-        if "mesh" in entry:
-            mesh = meshio.load_mesh(entry["mesh"], units=entry.get("units", "m"))
-        elif "primitive" in entry:
+    for k, entry in enumerate(cfgmod.read_json(path, SCENE_SCHEMA, "scene")["objects"]):
+        if entry["mesh"]:
+            mesh = meshio.load_mesh(entry["mesh"], units=entry["units"])
+        elif entry["primitive"]:
             mesh = _mesh_from_spec(entry["primitive"])
         else:
-            raise ValueError("scene object needs 'mesh' or 'primitive'")
-        keyframes = None
-        if entry.get("keyframes"):
-            keyframes = []
-            for kf in entry["keyframes"]:
-                pose = Pose(tuple(kf.get("rotation", (1.0, 0.0, 0.0, 0.0))),
-                            tuple(kf.get("translation", (0.0, 0.0, 0.0))))
-                keyframes.append((float(kf["t"]), pose))
-            keyframes.sort(key=lambda kv: kv[0])
-        conductive = entry.get("conductive", False)
-        if type(conductive) is not bool:
-            raise ValueError(f"scene object {k} conductive must be true or false, "
-                             f"not {conductive!r}")
-        objects.append(SceneObject(mesh=mesh, conductive=conductive, keyframes=keyframes,
-                                   name=entry.get("name", "")))
+            raise ValueError(f"scene objects[{k}] needs a mesh or a primitive")
+        keyframes = sorted(((kf["t"], Pose(kf["rotation"], kf["translation"]))
+                            for kf in entry["keyframes"]), key=lambda kv: kv[0])
+        objects.append(SceneObject(mesh=mesh, conductive=entry["conductive"],
+                                   keyframes=keyframes or None, name=entry["name"]))
     return Scene(objects=objects)
 
 
@@ -159,7 +138,8 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     for key in ("chain", "trajectory", "scene"):
         if sim[key] is None:
             raise ValueError(f"config simulation.{key} is required")
-    manifest = layout.read_manifest(sim["manifest"]) if sim["manifest"] else None
+    site_ids = ({s["site_id"] for s in layout.read_manifest(sim["manifest"])["sites"]}
+                if sim["manifest"] else None)
     chain = load_chain(sim["chain"])
     trajectory = load_trajectory(sim["trajectory"])
     scene = load_scene(sim["scene"])
@@ -170,11 +150,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     electrode = sc.ElectrodeModel(**sensing["electrode"])
     tof_active = sensing["tof_active"]
 
-    site_ids = None
-    if manifest is not None:
-        site_ids = {s["site_id"] for s in manifest["sites"]}
-    mounts = [m for m in chain.sensor_mounts
-              if site_ids is None or m.site_id in site_ids]
+    mounts = [m for m in chain.sensor_mounts if site_ids is None or m.site_id in site_ids]
     if not mounts:
         raise ValueError("no chain mounts match the manifest sites")
 
@@ -304,29 +280,19 @@ def cmd_reconstruct(cfg, log_path, out_dir: Path, fmt: str = "binary") -> int:
 # snr
 # ---------------------------------------------------------------------------
 
+# The labels file as a schema for config.checked.
+LABELS_SCHEMA = {"labels": [{"site_id": int, "intervals": [(float, float, str)]}]}
+
+
 def load_labels(path):
-    """Site id -> ActivityLabel of a labels file. Ids and bounds are typed as
-    in the log; a fault raises ValueError naming its entry."""
-    data = json.loads(Path(path).read_text())
-    entries = data.get("labels", []) if type(data) is dict else None
-    if type(entries) is not list:
-        raise ValueError(f"labels file must be an object with a labels array, not {data!r}")
+    """Site id -> ActivityLabel of a labels file; a fault raises ValueError
+    naming its entry."""
     out = {}
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(cfgmod.read_json(path, LABELS_SCHEMA, "labels")["labels"]):
         try:
-            if type(entry) is not dict:
-                raise ValueError(f"not an object: {entry!r}")
-            intervals = logs._field(entry, "intervals")
-            if type(intervals) is not list or any(
-                    type(iv) is not list or len(iv) != 3 for iv in intervals):
-                raise ValueError(f"intervals must be an array of [t0, t1, state], "
-                                 f"not {intervals!r}")
-            label = analysis.ActivityLabel(
-                site_id=logs._integer(entry, "site_id"),
-                intervals=[(logs._number(t0), logs._number(t1), state)
-                           for t0, t1, state in intervals])
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"labels entry {k}: {exc}") from None
+            label = analysis.ActivityLabel(**entry)
+        except ValueError as exc:
+            raise ValueError(f"labels labels[{k}]: {exc}") from None
         if label.site_id in out:
             raise ValueError(f"labels list site {label.site_id} twice")
         out[label.site_id] = label

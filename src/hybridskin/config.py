@@ -1,9 +1,10 @@
 """Run configuration: JSON file + dotted --set overrides over the defaults.
 
 DEFAULT_CONFIG is the schema: its keys are the only keys, and each leaf's
-default gives the leaf's type (see README). Every run writes its fully
-resolved configuration next to its outputs so results can be reproduced
-from the artifacts alone.
+default gives the leaf's type (see README). checked types every other
+JSON input against a schema of the same form, through read_json. Every run
+writes its fully resolved configuration next to its outputs so results can
+be reproduced from the artifacts alone.
 """
 
 import copy
@@ -84,14 +85,21 @@ def apply_overrides(config, overrides):
 
 def load_config(path=None, overrides=None, seed=None):
     """The file at path, then overrides, then seed, checked against
-    DEFAULT_CONFIG, which gives every key they leave out (see _checked)."""
-    config = json.loads(Path(path).read_text()) if path is not None else {}
-    if type(config) is not dict:
-        raise ValueError(f"config file {path} must be an object, not {config!r}")
+    DEFAULT_CONFIG, which gives every key they leave out (see checked)."""
+    config = read_json(path, {}, "config") if path is not None else {}
     config = apply_overrides(config, overrides)
     if seed is not None:
         config["seed"] = seed
-    return _checked(config, DEFAULT_CONFIG)
+    return checked(config, DEFAULT_CONFIG, "config")
+
+
+def read_json(path, schema, what):
+    """The object in the JSON file at path, checked against schema (see
+    checked); what names the file in an error."""
+    data = json.loads(Path(path).read_text())
+    if type(data) is not dict:
+        raise ValueError(f"{what} file {path} must be an object, not {data!r}")
+    return checked(data, schema, what)
 
 
 def write_resolved_config(config, out_dir):
@@ -114,13 +122,15 @@ def _pairs(value):
         for pair in value.values())
 
 
-# What a leaf takes, by its default's type: its name in an error, and a test.
-_KINDS = {int: ("an integer", lambda value: type(value) is int),
+# What a value takes, by its schema's type: its name in an error, and a test.
+# An integer fits in 64 bits, as the log's ids do.
+_KINDS = {int: ("an integer", lambda value: type(value) is int and -2 ** 63 <= value < 2 ** 63),
           float: ("a finite number", _finite),
           bool: ("true or false", lambda value: type(value) is bool),
           str: ("a string", lambda value: type(value) is str),
-          dict: ("an object", lambda value: type(value) is dict)}
-# The leaves whose default does not give their type.
+          dict: ("an object", lambda value: type(value) is dict),
+          list: ("an array", lambda value: type(value) is list)}
+# The config leaves whose default does not give their type.
 _PATH = ("a path or null", lambda value: value is None or type(value) is str)
 _UNIONS = {"generation.mesh": ("a path, a primitive object or null",
                                lambda value: value is None or type(value) in (str, dict)),
@@ -129,21 +139,42 @@ _UNIONS = {"generation.mesh": ("a path, a primitive object or null",
            "table.targets": ("an object of pairs of finite numbers", _pairs)}
 
 
-def _checked(value, default, path=""):
-    """value typed by default, the schema. Every key must be one of
-    default's, and every leaf takes what _KINDS gives for its default's type
-    (a number comes back as a float), or what _UNIONS gives for its path; a
-    union leaf is taken whole. Keys value lacks come from default. A fault
-    raises ValueError naming the key's dotted path.
+def checked(value, schema, what, path=""):
+    """value typed by schema, an example of it (see README). Keys value
+    leaves out read as an empty object or array, or as their default; a
+    number comes back as a float and an array as a list, and a config leaf
+    in _UNIONS is taken whole. A fault raises ValueError naming what (the
+    file) and the key's path.
     """
-    kind, takes = _UNIONS.get(path) or _KINDS[type(default)]
+    if type(schema) is tuple:
+        kind, takes = (f"an array of {len(schema)} items",
+                       lambda value: type(value) is list and len(value) == len(schema))
+    else:
+        kind, takes = _UNIONS.get(path) or _KINDS[
+            schema if isinstance(schema, type) else type(schema)]
     if not takes(value):
-        raise ValueError(f"config {path} must be {kind}, not {value!r}")
-    if path in _UNIONS or type(default) is not dict:
-        return float(value) if type(default) is float else value
-    prefix = f"{path}." if path else ""
-    for key in value:
-        if key not in default:
-            raise ValueError(f"config {prefix}{key} is not a key of {path or 'the config'}")
-    return {key: _checked(value[key], sub, prefix + key) if key in value else copy.deepcopy(sub)
-            for key, sub in default.items()}
+        raise ValueError(f"{what} {path} must be {kind}, not {value!r}")
+    if path in _UNIONS:
+        return value
+    if type(schema) is dict and schema:
+        prefix = f"{path}." if path else ""
+        for key in value:
+            if key not in schema:
+                raise ValueError(f"{what} {prefix}{key} is not a key of "
+                                 f"{path or 'the ' + what}")
+        return {key: checked(value[key], sub, what, prefix + key) if key in value
+                else _left_out(sub, what, prefix + key) for key, sub in schema.items()}
+    if type(schema) in (list, tuple):
+        items = schema * len(value) if type(schema) is list else schema
+        return [checked(item, sub, what, f"{path}[{k}]")
+                for k, (item, sub) in enumerate(zip(value, items))]
+    return float(value) if float in (schema, type(schema)) else value
+
+
+def _left_out(schema, what, path):
+    if isinstance(schema, type) or type(schema) is tuple and any(
+            isinstance(item, type) for item in schema):
+        raise ValueError(f"{what} {path} is required")
+    if path in _UNIONS or type(schema) not in (dict, list):
+        return list(schema) if type(schema) is tuple else copy.deepcopy(schema)
+    return checked(type(schema)(), schema, what, path)

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .errors import DimensionError, DomainError
 from .geometry import _rowdot
-from .logs import _field, _integer
 from .mesh import TriMesh
 
 QUAT_TOL = 1e-9
@@ -246,9 +246,13 @@ class KinematicChain:
             raise ValueError(
                 f"{len(self.links)} links with {len(self.joints)} joints "
                 "(need joint count = link count - 1)")
+        site_ids = set()
         for m in self.sensor_mounts:
             if not 0 <= m.link_index < len(self.links):
                 raise ValueError(f"mount link index {m.link_index} out of range")
+            if m.site_id in site_ids:
+                raise ValueError(f"two mounts have site id {m.site_id}")
+            site_ids.add(m.site_id)
 
     @property
     def n_joints(self):
@@ -385,9 +389,12 @@ class Scene:
 # File formats: chain JSON and trajectory CSV (header: t,q1..qn)
 # ---------------------------------------------------------------------------
 
-def _pose_from_dict(d):
-    return Pose(tuple(d.get("rotation", (1.0, 0.0, 0.0, 0.0))),
-                tuple(d.get("translation", (0.0, 0.0, 0.0))))
+# A pose object, and the chain file, as schemas for config.checked.
+POSE_SCHEMA = {"rotation": (1.0, 0.0, 0.0, 0.0), "translation": (0.0, 0.0, 0.0)}
+CHAIN_SCHEMA = {"links": [str],
+                "joints": [{"axis": (float, float, float), "type": REVOLUTE,
+                            "origin": POSE_SCHEMA}],
+                "mounts": [{"link": int, "site_id": int, "local": POSE_SCHEMA}]}
 
 
 def _pose_to_dict(p: Pose):
@@ -395,17 +402,13 @@ def _pose_to_dict(p: Pose):
 
 
 def load_chain(path) -> KinematicChain:
-    data = json.loads(Path(path).read_text())
-    joints = [Joint(axis=tuple(_field(j, "axis")),
-                    joint_type=j.get("type", REVOLUTE).upper(),
-                    origin=_pose_from_dict(j.get("origin", {})))
-              for j in _field(data, "joints")]
-    mounts = [SensorMount(link_index=_integer(m, "link"),
-                          local=_pose_from_dict(m.get("local", {})),
-                          site_id=_integer(m, "site_id"))
-              for m in data.get("mounts", [])]
-    return KinematicChain(joints=joints, sensor_mounts=mounts,
-                          links=data.get("links"))
+    """The chain file at path; links it leaves out are named link0..linkN."""
+    data = read_json(path, CHAIN_SCHEMA, "chain")
+    joints = [Joint(axis=j["axis"], joint_type=j["type"].upper(), origin=Pose(**j["origin"]))
+              for j in data["joints"]]
+    mounts = [SensorMount(link_index=m["link"], local=Pose(**m["local"]), site_id=m["site_id"])
+              for m in data["mounts"]]
+    return KinematicChain(joints=joints, sensor_mounts=mounts, links=data["links"] or None)
 
 
 def save_chain(chain: KinematicChain, path):

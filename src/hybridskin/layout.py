@@ -8,11 +8,12 @@ coupling gap.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .errors import CouplingGapError, SaturationError
 from .geometry import (Footprint, _greedy_place, cylinder_faces, generate_supports,
                        tangent_frame, unit_circle)
@@ -218,39 +219,25 @@ def compose_skin(dermis: TriMesh, covering: TriMesh, sites, ring_spec: RingSpec,
 # Assembly manifest (consumed by the kinematics/simulation side)
 # ---------------------------------------------------------------------------
 
-def manifest_dict(assembly: SkinAssembly, ring_spec: RingSpec,
-                  mount_spec: MountSpec, material_files=None):
-    return {
-        "sites": [
-            {
-                "site_id": s.site_id,
-                "face_index": s.face_index,
-                "barycentric": list(s.barycentric),
-                "position": list(s.position),
-                "normal": list(s.normal),
-            }
-            for s in assembly.sites
-        ],
-        "ring": {
-            "inner_radius": ring_spec.inner_radius,
-            "outer_radius": ring_spec.outer_radius,
-            "height": ring_spec.height,
-            "segments": ring_spec.segments,
-        },
-        "mount": {
-            "footprint_radius": mount_spec.footprint_radius,
-            "height": mount_spec.height,
-        },
-        "support_count": len(assembly.supports),
-        "materials": {k: str(v) for k, v in (material_files or {}).items()},
-    }
+# The manifest file as a schema for config.checked. Nothing reads its
+# material file names, so that object is taken whole.
+MANIFEST_SCHEMA = {
+    "sites": [{"site_id": int, "face_index": int, "barycentric": (float, float, float),
+               "position": (float, float, float), "normal": (float, float, float)}],
+    "ring": {"inner_radius": float, "outer_radius": float, "height": float, "segments": int},
+    "mount": {"footprint_radius": float, "height": float},
+    "support_count": int,
+    "materials": {},
+}
 
 
 def write_manifest(path, assembly, ring_spec, mount_spec, material_files=None):
-    data = manifest_dict(assembly, ring_spec, mount_spec, material_files)
+    data = {"sites": [asdict(s) for s in assembly.sites], "ring": asdict(ring_spec),
+            "mount": asdict(mount_spec), "support_count": len(assembly.supports),
+            "materials": {k: str(v) for k, v in (material_files or {}).items()}}
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
 
 def read_manifest(path):
-    return json.loads(Path(path).read_text())
+    return read_json(path, MANIFEST_SCHEMA, "manifest")

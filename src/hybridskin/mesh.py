@@ -139,7 +139,8 @@ class ValidationReport:
 
 
 def validate_mesh(mesh: TriMesh) -> ValidationReport:
-    """Check index validity, degenerate faces, winding, and open boundaries.
+    """Check index validity, degenerate faces, winding, orientation and open
+    boundaries.
 
     Pure function; never raises. Errors make the report invalid, warnings
     (open boundaries) do not.
@@ -187,6 +188,15 @@ def validate_mesh(mesh: TriMesh) -> ValidationReport:
             "inconsistent-winding", "error",
             f"{conflicts.size} edge(s) traversed twice in the same direction",
             [list(key(e)) for e in conflicts[:16]]))
+
+    # A closed, consistently wound mesh winds inward when its signed volume
+    # is negative beyond the rounding of its terms.
+    if boundary == 0 and winding_ok and mesh.n_faces:
+        tri = mesh.triangles() - mesh.vertices.mean(axis=0)
+        volume = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
+        if volume.sum() < -1e-9 * np.abs(volume).sum():
+            findings.append(Finding("inside-out", "error", "closed mesh has signed volume "
+                                    f"{volume.sum() / 6.0:.6g} m^3: its faces wind inward"))
 
     unreferenced = np.setdiff1d(np.arange(mesh.n_vertices), mesh.faces.reshape(-1))
     if unreferenced.size:

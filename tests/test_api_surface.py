@@ -4,6 +4,9 @@ A reference is a name, an attribute or an import alias anywhere in the
 package outside __init__.py; a definition does not count, and neither does
 a re-export. Matching is by bare name, so a method shadowed by an unrelated
 name of the same spelling slips through: the check is a floor, not a proof.
+
+No module imports or reads another module's underscore names, but for the
+few listed with a reason.
 """
 
 import ast
@@ -50,3 +53,41 @@ def test_every_name_in_src_has_a_caller_in_src():
     defined, referenced = definitions_and_references(Path(hybridskin.__file__).parent)
     unreferenced = {q for q, name in defined.items() if name not in referenced}
     assert unreferenced == set(ALLOWED)
+
+
+# Underscore names a src/ module reads from another src/ module, each for
+# the reason given.
+SHARED_PRIVATE = {
+    "kinematics: geometry._rowdot": "the row dot product whose bits the quaternion "
+                                    "norm and slerp must match",
+    "layout: geometry._greedy_place": "the supports' greedy pass, which places the "
+                                      "sites too",
+}
+
+
+def private_reads(package_dir):
+    """'module: other._name' for every underscore name a module imports from,
+    or reads off, another module of the package. The package imports its
+    own modules only relatively."""
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    reads = set()
+    for path in sorted(package_dir.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}  # local name -> module, of "from . import module as name"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module is None:
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            else:
+                reads.update(f"{path.stem}: {node.module}.{a.name}"
+                             for a in node.names if private(a.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and private(node.attr)):
+                reads.add(f"{path.stem}: {aliases[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    assert private_reads(Path(hybridskin.__file__).parent) == set(SHARED_PRIVATE)

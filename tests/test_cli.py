@@ -94,6 +94,15 @@ def test_generate_invalid_mesh_exits_2(tmp_path, capsys):
     assert "degenerate-face" in err
 
 
+def test_generate_on_an_inside_out_mesh_exits_2(tmp_path, capsys):
+    cfg = generate_config(tmp_path, mesh={"kind": "sphere", "radius": -1.0})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    error = error_of(capsys)
+    assert error["error"] == "InvalidMesh"
+    assert [f["code"] for f in error["findings"]] == ["inside-out"]
+    assert not (tmp_path / "out").exists()
+
+
 def link_stl_with_a_nan(path):
     """The 0.12 m test box as a binary STL whose fourth facet has a NaN."""
     meshio.save_stl(make_box((0.12, 0.12, 0.12)), path)
@@ -230,9 +239,9 @@ def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, d
 
 
 @pytest.mark.parametrize("site_id,reason", [
-    (2 ** 63, "site_id 9223372036854775808 does not fit in 64 bits"),
-    (6.5, "site_id must be an integer, not 6.5"),
-    ("3", "site_id must be an integer, not '3'"),
+    (2 ** 63, "chain mounts[1].site_id must be an integer, not 9223372036854775808"),
+    (6.5, "chain mounts[1].site_id must be an integer, not 6.5"),
+    ("3", "chain mounts[1].site_id must be an integer, not '3'"),
 ])
 def test_simulate_rejects_a_chain_site_id_the_log_cannot_hold(tmp_path, capsys, site_id,
                                                              reason):
@@ -290,7 +299,7 @@ def test_simulate_rejects_a_scene_object_conductive_flag_that_is_not_a_boolean(t
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
     assert error_of(capsys) == {
         "error": "ValueError",
-        "message": "scene object 0 conductive must be true or false, not 'false'"}
+        "message": "scene objects[0].conductive must be true or false, not 'false'"}
 
 
 @pytest.mark.parametrize("override,reason", [
@@ -337,7 +346,7 @@ def test_generate_rejects_an_unknown_primitive_argument(tmp_path, capsys):
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 2
     assert error_of(capsys) == {
         "error": "ValueError",
-        "message": "primitive box has no argument 'sise'; it takes size, center"}
+        "message": "primitive sise is not a key of the primitive"}
 
 
 def test_simulate_rejects_an_unknown_primitive_argument_of_a_scene_object(tmp_path, capsys):
@@ -348,21 +357,17 @@ def test_simulate_rejects_an_unknown_primitive_argument_of_a_scene_object(tmp_pa
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
     assert error_of(capsys) == {
         "error": "ValueError",
-        "message": "primitive sphere has no argument 'segments'; "
-                   "it takes radius, n_lat, n_lon, center"}
+        "message": "primitive segments is not a key of the primitive"}
 
 
 MISTYPED_PRIMITIVES = pytest.mark.parametrize("primitive,reason", [
-    ({"kind": "box", "size": 5}, "primitive box argument size must be a list of 3 finite "
-                                 "numbers, not 5"),
-    ({"kind": "sphere", "radius": "x"}, "primitive sphere argument radius must be a finite "
-                                        "number, not 'x'"),
-    ({"kind": "plane", "nx": 2.5}, "primitive plane argument nx must be an integer, not 2.5"),
-    ({"kind": "plane", "ny": True}, "primitive plane argument ny must be an integer, not True"),
-    ({"kind": "cylinder", "capped": 1}, "primitive cylinder argument capped must be true or "
-                                        "false, not 1"),
-    ({"kind": "box", "center": [0.0, 0.0]}, "primitive box argument center must be a list of "
-                                            "3 finite numbers, not [0.0, 0.0]"),
+    ({"kind": "box", "size": 5}, "primitive size must be an array of 3 items, not 5"),
+    ({"kind": "sphere", "radius": "x"}, "primitive radius must be a finite number, not 'x'"),
+    ({"kind": "plane", "nx": 2.5}, "primitive nx must be an integer, not 2.5"),
+    ({"kind": "plane", "ny": True}, "primitive ny must be an integer, not True"),
+    ({"kind": "cylinder", "capped": 1}, "primitive capped must be true or false, not 1"),
+    ({"kind": "box", "center": [0.0, 0.0]}, "primitive center must be an array of 3 items, "
+                                            "not [0.0, 0.0]"),
 ], ids=["scalar_size", "string_radius", "float_nx", "boolean_ny", "integer_capped",
         "short_center"])
 
@@ -396,10 +401,10 @@ def with_chain(cfg_path, edit):
 
 
 @pytest.mark.parametrize("link,reason", [
-    (0.5, "link must be an integer, not 0.5"),
-    (1.0, "link must be an integer, not 1.0"),
-    ("1", "link must be an integer, not '1'"),
-    (True, "link must be an integer, not True"),
+    (0.5, "chain mounts[0].link must be an integer, not 0.5"),
+    (1.0, "chain mounts[0].link must be an integer, not 1.0"),
+    ("1", "chain mounts[0].link must be an integer, not '1'"),
+    (True, "chain mounts[0].link must be an integer, not True"),
 ], ids=["fraction", "integral_float", "string", "boolean"])
 def test_simulate_rejects_a_chain_link_that_is_not_an_integer(tmp_path, capsys, monkeypatch,
                                                              link, reason):
@@ -415,7 +420,82 @@ def test_simulate_rejects_a_chain_without_joints_or_an_axis(tmp_path, capsys, mo
     drop = {"joints": lambda c: c.pop("joints"), "axis": lambda c: c["joints"][0].pop("axis")}
     cfg = with_chain(wall_fixture(tmp_path), drop[key])
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
-    assert error_of(capsys) == {"error": "ValueError", "message": f"no {key!r} field"}
+    # A chain without joints is a base-only chain, so its link-1 mount is out of range.
+    reason = {"joints": "mount link index 1 out of range",
+              "axis": "chain joints[0].axis is required"}[key]
+    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_a_chain_with_two_mounts_of_one_site_id_exits_2(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # One site id on two mounts would merge two nodules' streams in the log.
+    never_schedule(monkeypatch)
+    cfg = with_chain(wall_fixture(tmp_path, site_ids=(0, 0)),
+                     lambda c: c["mounts"][1]["local"].update(translation=[1.0, 0.0, 0.0]))
+    log = tmp_path / "samples.jsonl"
+    log.write_text("")
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(argv + (["--log", str(log)] if command == "reconstruct" else [])) == 2
+    assert error_of(capsys) == {"error": "ValueError", "message": "two mounts have site id 0"}
+
+
+# The wall fixture's files with one fault each.
+WALL = {"name": "wall", "primitive": {"kind": "plane", "width": 20.0, "height": 20.0,
+                                      "nx": 2, "ny": 2, "center": [0.0, 0.0, 2.0]}}
+
+
+def scene_of(**entry):
+    return {"objects": [{**WALL, **entry}]}
+
+
+def chain_of(joint=(), **keys):
+    return {"joints": [{"axis": [0, 0, 1], **dict(joint)}], "mounts": [{"link": 1, "site_id": 0}],
+            **keys}
+
+
+@pytest.mark.parametrize("name,data,reason", [
+    ("scene", scene_of(keyframes=[{"translation": [0.0, 0.0, 0.0]}]),
+     "scene objects[0].keyframes[0].t is required"),
+    ("scene", scene_of(keyframes=[{"t": 0.0, "rotation": 5}]),
+     "scene objects[0].keyframes[0].rotation must be an array of 4 items, not 5"),
+    ("scene", scene_of(keyframes=5), "scene objects[0].keyframes must be an array, not 5"),
+    ("scene", {"objects": [{"mesh": 5}]}, "scene objects[0].mesh must be a string, not 5"),
+    ("scene", [1], "scene file <path> must be an object, not [1]"),
+    ("scene", {"objects": [5]}, "scene objects[0] must be an object, not 5"),
+    ("scene", scene_of(conductve=True), "scene objects[0].conductve is not a key of objects[0]"),
+    ("scene", scene_of(keyframes=[{"t": "0"}]),
+     "scene objects[0].keyframes[0].t must be a finite number, not '0'"),
+    ("scene", scene_of(name=5), "scene objects[0].name must be a string, not 5"),
+    ("scene", {"objects": [{"mesh": "wall.stl", "units": 5}]},
+     "scene objects[0].units must be a string, not 5"),
+    ("chain", chain_of({"type": 5}), "chain joints[0].type must be a string, not 5"),
+    ("chain", chain_of({"axis": 5}), "chain joints[0].axis must be an array of 3 items, not 5"),
+    ("chain", chain_of({"origin": 5}), "chain joints[0].origin must be an object, not 5"),
+    ("chain", chain_of({"origin": {"rotation": 5}}),
+     "chain joints[0].origin.rotation must be an array of 4 items, not 5"),
+    ("chain", chain_of(links=5), "chain links must be an array, not 5"),
+    ("chain", chain_of(mounts=5), "chain mounts must be an array, not 5"),
+    ("chain", chain_of({"axes": [0, 0, 1]}), "chain joints[0].axes is not a key of joints[0]"),
+    ("manifest", {}, "manifest ring.inner_radius is required"),
+    ("manifest", {"sites": 5}, "manifest sites must be an array, not 5"),
+    ("manifest", [], "manifest file <path> must be an object, not []"),
+], ids=["keyframe_without_t", "scalar_rotation", "scalar_keyframes", "numeric_mesh",
+        "scene_array", "numeric_object", "misspelt_conductive", "string_t", "numeric_name",
+        "numeric_units", "numeric_type", "scalar_axis", "scalar_origin",
+        "scalar_origin_rotation", "scalar_links", "scalar_mounts", "misspelt_axis",
+        "empty_manifest", "scalar_sites", "manifest_array"])
+def test_simulate_rejects_a_malformed_input_file_naming_it_and_the_path(
+        tmp_path, capsys, monkeypatch, name, data, reason):
+    never_schedule(monkeypatch)
+    cfg = wall_fixture(tmp_path)
+    path = write_json(tmp_path / f"{name}.json", data)
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--set", f"simulation.{name}={path}",
+                 "--out", str(tmp_path / "sim")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValueError", "message": reason.replace("<path>", path)}
+    assert not (tmp_path / "sim").exists()
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -977,7 +1057,7 @@ def test_snr_rejects_a_non_finite_label_bound(tmp_path, capsys, intervals):
     capsys.readouterr()
     assert main(["snr", "--log", log, "--labels", labels, "--out", str(tmp_path / "o")]) == 2
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert error["error"] == "ValueError" and "non-finite bound" in error["message"]
+    assert error["error"] == "ValueError" and "must be a finite number" in error["message"]
 
 
 # Labels the synthetic log's two phases; int() and float() would accept
@@ -990,11 +1070,11 @@ PHASES = [[0.0, 300 * 0.024, "INACTIVE"], [300 * 0.024, 600 * 0.024, "ACTIVE_RES
     ({"site_id": True}, "site_id must be an integer, not True"),
     ({"site_id": "1"}, "site_id must be an integer, not '1'"),
     ({"intervals": [["0.5"] + PHASES[0][1:], PHASES[1]]},
-     "could not convert string to float: '0.5'"),
+     "intervals[0][0] must be a finite number, not '0.5'"),
     ({"intervals": [[0.0, True, "INACTIVE"], PHASES[1]]},
-     "could not convert boolean to float: True"),
+     "intervals[0][1] must be a finite number, not True"),
     ({"intervals": [[False] + PHASES[0][1:], PHASES[1]]},
-     "could not convert boolean to float: False"),
+     "intervals[0][0] must be a finite number, not False"),
 ], ids=["float_site_id", "boolean_site_id", "string_site_id", "string_bound",
         "boolean_end", "boolean_start"])
 def test_snr_rejects_a_label_value_of_the_wrong_type(tmp_path, capsys, entry, reason):
@@ -1004,22 +1084,21 @@ def test_snr_rejects_a_label_value_of_the_wrong_type(tmp_path, capsys, entry, re
     capsys.readouterr()
     assert main(["snr", "--log", log, "--labels", labels, "--out", str(tmp_path / "o")]) == 2
     error = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert error == {"error": "ValueError", "message": f"labels entry 1: {reason}"}
+    assert error == {"error": "ValueError", "message": f"labels labels[1].{reason}"}
 
 
 @pytest.mark.parametrize("labels,reason", [
-    ([], "labels file must be an object with a labels array, not []"),
-    ({"labels": {"site_id": 0}},
-     "labels file must be an object with a labels array, not {'labels': {'site_id': 0}}"),
-    ({"labels": [{"site_id": 0, "intervals": PHASES}, 5]}, "labels entry 1: not an object: 5"),
+    ([], "labels file <path> must be an object, not []"),
+    ({"labels": {"site_id": 0}}, "labels labels must be an array, not {'site_id': 0}"),
+    ({"labels": [{"site_id": 0, "intervals": PHASES}, 5]},
+     "labels labels[1] must be an object, not 5"),
     ({"labels": [{"site_id": 0, "intervals": 3}]},
-     "labels entry 0: intervals must be an array of [t0, t1, state], not 3"),
+     "labels labels[0].intervals must be an array, not 3"),
     ({"labels": [{"site_id": 0, "intervals": [PHASES[0], 5]}]},
-     "labels entry 0: intervals must be an array of [t0, t1, state], "
-     "not [[0.0, 7.2, 'INACTIVE'], 5]"),
+     "labels labels[0].intervals[1] must be an array of 3 items, not 5"),
     ({"labels": [{"site_id": 0, "intervals": [PHASES[0] + [1]]}]},
-     "labels entry 0: intervals must be an array of [t0, t1, state], "
-     "not [[0.0, 7.2, 'INACTIVE', 1]]"),
+     "labels labels[0].intervals[0] must be an array of 3 items, "
+     "not [0.0, 7.2, 'INACTIVE', 1]"),
 ], ids=["top_level_array", "labels_object", "integer_entry", "integer_intervals",
         "integer_interval", "four_element_interval"])
 def test_snr_rejects_a_labels_file_of_the_wrong_shape(tmp_path, capsys, labels, reason):
@@ -1027,7 +1106,7 @@ def test_snr_rejects_a_labels_file_of_the_wrong_shape(tmp_path, capsys, labels, 
     path = write_json(tmp_path / "shape.json", labels)
     capsys.readouterr()
     assert main(["snr", "--log", log, "--labels", path, "--out", str(tmp_path / "o")]) == 2
-    assert error_of(capsys) == {"error": "ValueError", "message": reason}
+    assert error_of(capsys) == {"error": "ValueError", "message": reason.replace("<path>", path)}
 
 
 def test_snr_rejects_a_site_labelled_twice(tmp_path, capsys):

@@ -393,6 +393,13 @@ def test_chain_json_round_trip(tmp_path):
     assert np.allclose(pose_matrix(a), pose_matrix(b), atol=1e-15)
 
 
+def test_chain_rejects_two_mounts_of_one_site_id():
+    # Logs, labels and the reconstruction know a nodule only by its site id.
+    mounts = [SensorMount(1, Pose(), 0), SensorMount(1, Pose(translation=(1.0, 0.0, 0.0)), 0)]
+    with pytest.raises(ValueError, match="two mounts have site id 0"):
+        KinematicChain(joints=[Joint(axis=(0.0, 0.0, 1.0))], sensor_mounts=mounts)
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     traj = JointTrajectory(times=[0.0, 0.5, 1.5], values=[[0.0, 1.0],
                                                           [0.25, 0.5],

@@ -60,6 +60,30 @@ def test_primitives_are_outward_oriented():
     assert signed_volume(cyl) == pytest.approx(np.pi * 0.04 ** 2 * 0.2, rel=0.01)
 
 
+def reversed_box():
+    """A box far from the origin with every face's winding reversed."""
+    box = make_box(center=(1e3, 0.0, 0.0))
+    return TriMesh.from_arrays(box.vertices, box.faces[:, ::-1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_uv_sphere(-1.0), lambda: make_box((-1.0, 1.0, 1.0)),
+    lambda: make_cylinder(0.1, -0.3), reversed_box,
+], ids=["negative_radius", "negated_size", "negative_height", "reversed_faces"])
+def test_an_inside_out_closed_mesh_is_an_error(make):
+    report = validate_mesh(make())
+    assert report.is_closed and report.winding_consistent and not report.is_valid
+    assert [f.code for f in report.findings] == ["inside-out"]
+
+
+def test_a_closed_mesh_of_zero_volume_is_not_inside_out():
+    # A patch and its reverse: every edge is shared by two opposite faces.
+    patch = make_plane_patch(1.0, 1.0, 3, 3, center=(0.3, -0.2, 0.1))
+    both = TriMesh.from_arrays(patch.vertices, np.vstack([patch.faces, patch.faces[:, ::-1]]))
+    report = validate_mesh(both)
+    assert report.is_closed and report.winding_consistent and report.is_valid
+
+
 def test_open_cylinder_has_boundary_rims():
     shell = make_cylinder(0.04, 0.2, 32, capped=False)
     report = validate_mesh(shell)
