@@ -65,6 +65,8 @@ def _mesh_from_spec(spec, units="m"):
 def load_scene(path) -> Scene:
     objects = []
     for k, entry in enumerate(cfgmod.read_json(path, SCENE_SCHEMA, "scene")["objects"]):
+        if entry["mesh"] and entry["primitive"]:
+            raise ValueError(f"scene objects[{k}] gives both a mesh and a primitive")
         if entry["mesh"]:
             mesh = meshio.load_mesh(entry["mesh"], units=entry["units"])
         elif entry["primitive"]:
@@ -153,6 +155,9 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     mounts = [m for m in chain.sensor_mounts if site_ids is None or m.site_id in site_ids]
     if not mounts:
         raise ValueError("no chain mounts match the manifest sites")
+    # One Bvh per static object serves both streams for the run; None marks a mover.
+    trees = [None if obj.keyframes else Bvh(TriangleSet(obj.mesh.vertices, obj.mesh.faces))
+             for obj in scene.objects]
 
     # Every nodule's SC times come first, each from its own rng stream; then
     # one forward pass poses every sample's mount (row k with its own mount),
@@ -164,7 +169,7 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     owners = [mount for mount, stream in zip(mounts, streams) for _ in stream]
     positions = mount_poses(chain, trajectory.value_at(times), owners).translation
     capacitances = sc.contact_capacitance(electrode,
-                                          _conductive_distances(scene, times, positions))
+                                          _conductive_distances(scene, trees, times, positions))
     counts = [sc.measure_counts(c, meas, tof_active, np.random.default_rng([cfg["seed"], 1, k]))
               for k, c in enumerate(np.split(capacitances, np.cumsum(lengths)[:-1]))]
     sc_table = logs.ScTable(np.repeat([m.site_id for m in mounts], lengths), times,
@@ -176,8 +181,8 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
                 for stream_idx in range(len(mounts))]
     frame_times = tof.frame_times(duration, tof_spec)
     frame_poses = mount_poses(chain, trajectory.value_at(frame_times)[:, None, :], mounts)
-    tof_table = _tof_frames(scene, [m.site_id for m in mounts], frame_times, frame_poses,
-                            tof_spec, tof_rngs)
+    tof_table = _tof_frames(scene, trees, [m.site_id for m in mounts], frame_times,
+                            frame_poses, tof_spec, tof_rngs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     logs.write_log(out_dir / "samples.jsonl", logs.log_lines(sc_table, tof_table))
@@ -187,9 +192,10 @@ def cmd_simulate(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> logs.ToFTable:
+def _tof_frames(scene: Scene, trees, sensor_ids, times, poses: Pose, spec,
+                rngs) -> logs.ToFTable:
     """Every sensor's frame at every time as one capture_frames table, rows
-    time-major; poses is (times, sensors).
+    time-major; poses is (times, sensors), trees the run's Bvhs (None per mover).
 
     The scene is cast in two levels. One Bvh per static object serves the
     whole run, and each block of whole frame times, at most _TOF_RAYS zone
@@ -199,12 +205,9 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> log
     the smallest distance. A frame takes only the distance and whether
     anything was hit, and a (ray, triangle) pair gives the same t in any
     Bvh, so the frames are those of one Bvh over the whole posed scene at
-    each time. No Bvh outlives the call. One capture_frames call over every time adds the
-    noise, the same draws as one call per block.
+    each time. No movers' Bvh outlives its frame time. One capture_frames
+    call over every time adds the noise, the same draws as one call per block.
     """
-    static = [Bvh(TriangleSet(obj.mesh.vertices, obj.mesh.faces))
-              for obj in scene.objects if not obj.keyframes]
-    moving = [bool(obj.keyframes) for obj in scene.objects]
     per_time = len(sensor_ids) * spec.nx * spec.ny
     step = max(1, _TOF_RAYS // per_time)
     dist = np.empty(len(times) * per_time)
@@ -213,12 +216,12 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> log
         origins, directions = tof.zone_rays(poses[start:start + step], spec)
         block = slice(start * per_time, start * per_time + len(origins))
         dist[block], hit[block] = np.inf, False
-        for bvh in static:
+        for bvh in filter(None, trees):
             t_obj, idx = bvh.raycast_many(origins, directions, spec.max_range)
             dist[block] = np.minimum(dist[block], t_obj)
             hit[block] |= idx >= 0
         for j, t in enumerate(times[start:start + step].tolist()):
-            movers = [m for (m, _), move in zip(scene.at(t), moving) if move]
+            movers = [m for (m, _), bvh in zip(scene.at(t), trees) if bvh is None]
             rays = slice(j * per_time, (j + 1) * per_time)
             rows = slice((start + j) * per_time, (start + j + 1) * per_time)
             t_mov, idx_mov = Bvh(TriangleSet.from_meshes(movers)).raycast_many(
@@ -228,23 +231,21 @@ def _tof_frames(scene: Scene, sensor_ids, times, poses: Pose, spec, rngs) -> log
     return tof.capture_frames(sensor_ids, times, dist, hit, spec, rngs)
 
 
-def _conductive_distances(scene: Scene, times, points):
+def _conductive_distances(scene: Scene, trees, times, points):
     """Distance from points[k] to the nearest conductive surface at times[k].
 
     inf where the scene has no conductive triangle. Samples go in blocks of
     at most _DISTANCE_ROWS (sample, triangle) rows per object, which bounds
     the posed copies of moving meshes and the distance kernel's temporaries.
+    A static object is read through its Bvh in trees (None per mover).
     """
-    conductive = [obj for obj in scene.objects if obj.conductive]
-    static = [None if obj.keyframes else TriangleSet(obj.mesh.vertices, obj.mesh.faces)
-              for obj in conductive]
-    step = max(1, _DISTANCE_ROWS // max([1] + [obj.mesh.n_faces for obj in conductive]))
+    conductive = [(obj, bvh) for obj, bvh in zip(scene.objects, trees) if obj.conductive]
+    step = max(1, _DISTANCE_ROWS // max([1] + [obj.mesh.n_faces for obj, _ in conductive]))
     d = np.full(len(times), np.inf)
     for start in range(0, len(times), step):
         block = slice(start, start + step)
-        for obj, tris in zip(conductive, static):
-            if tris is None:
-                tris = TriangleSet(obj.vertices_at(times[block]), obj.mesh.faces)
+        for obj, bvh in conductive:
+            tris = bvh.tris if bvh else TriangleSet(obj.vertices_at(times[block]), obj.mesh.faces)
             d[block] = np.minimum(d[block], point_mesh_distance(points[block], tris))
     return d
 

@@ -123,8 +123,7 @@ def _pairs(value):
 
 
 # What a value takes, by its schema's type: its name in an error, and a test.
-# An integer fits in 64 bits, as the log's ids do.
-_KINDS = {int: ("an integer", lambda value: type(value) is int and -2 ** 63 <= value < 2 ** 63),
+_KINDS = {int: ("an integer", lambda value: type(value) is int),
           float: ("a finite number", _finite),
           bool: ("true or false", lambda value: type(value) is bool),
           str: ("a string", lambda value: type(value) is str),
@@ -168,7 +167,12 @@ def checked(value, schema, what, path=""):
         items = schema * len(value) if type(schema) is list else schema
         return [checked(item, sub, what, f"{path}[{k}]")
                 for k, (item, sub) in enumerate(zip(value, items))]
-    return float(value) if float in (schema, type(schema)) else value
+    if float in (schema, type(schema)):
+        return float(value)
+    # An integer fits in 64 bits, as the log's ids do; the log decoder's words.
+    if int in (schema, type(schema)) and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{what} {path} {value} does not fit in 64 bits")
+    return value
 
 
 def _left_out(schema, what, path):

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import PlacementError, SelfIntersectionError
 from .mesh import Material, TriMesh, sample_surface
+from .raycast import moller_trumbore
 
 logger = logging.getLogger(__name__)
 
@@ -251,18 +252,10 @@ def _edges_pierce(src, dst):
     e1 = dst[:, 1] - v0
     e2 = dst[:, 2] - v0
     hit = np.zeros(len(src), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # u + v where det is near 0
         for k in range(3):
             o = src[:, k]
-            d = src[:, (k + 1) % 3] - o
-            p = np.cross(d, e2)
-            det = _rowdot(e1, p)
-            inv = 1.0 / det
-            s = o - v0
-            u = _rowdot(s, p) * inv
-            q = np.cross(s, e1)
-            v = _rowdot(d, q) * inv
-            t = _rowdot(e2, q) * inv
+            det, u, v, t = moller_trumbore(o, src[:, (k + 1) % 3] - o, v0, e1, e2)
             hit |= ((np.abs(det) >= eps) & (u > eps) & (u < 1.0 - eps) & (v > eps)
                     & (u + v < 1.0 - eps) & (t > eps) & (t < 1.0 - eps))
     return hit

@@ -45,27 +45,31 @@ def _cross(a, b):
     return out
 
 
+def moller_trumbore(origin, direction, v0, e1, e2):
+    """Moller-Trumbore terms (det, u, v, t) of the line origin + t * direction
+    in row k against triangle row k, broadcast as in _intersect_rows; u, v
+    and t are inf or nan where det is 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = _cross(direction, e2)
+        det = np.einsum("ij,ij->i", e1, p)
+        inv = 1.0 / det
+        s = origin - v0
+        u = np.einsum("ij,ij->i", s, p) * inv
+        q = _cross(s, e1)
+        v = np.einsum("ij,ij->i", q, np.broadcast_to(direction, q.shape)) * inv
+        t = np.einsum("ij,ij->i", e2, q) * inv
+    return det, u, v, t
+
+
 def _intersect_rows(origin, direction, v0, e1, e2):
     """Distance along ray row k to triangle row k; +inf where missed.
 
     origin and direction broadcast against the (n, 3) triangle arrays.
     """
-    p = _cross(direction, e2)
-    det = np.einsum("ij,ij->i", e1, p)
-    t = np.full(det.shape, np.inf)
-    ok = np.abs(det) > _DET_EPS
-    if not np.any(ok):
-        return t
-    inv = np.zeros_like(det)
-    inv[ok] = 1.0 / det[ok]
-    s = origin - v0
-    u = np.einsum("ij,ij->i", s, p) * inv
-    q = _cross(s, e1)
-    v = np.einsum("ij,ij->i", q, np.broadcast_to(direction, q.shape)) * inv
-    tt = np.einsum("ij,ij->i", e2, q) * inv
-    hit = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (tt > 0.0)
-    t[hit] = tt[hit]
-    return t
+    det, u, v, t = moller_trumbore(origin, direction, v0, e1, e2)
+    with np.errstate(invalid="ignore", over="ignore"):  # u + v where det is near 0
+        hit = (np.abs(det) > _DET_EPS) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 0.0)
+    return np.where(hit, t, np.inf)
 
 
 class TriangleSet:

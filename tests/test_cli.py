@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hybridskin import cli, meshio
 from hybridskin.cli import main
 from hybridskin.kinematics import Pose, Scene, SceneObject
 from hybridskin.mesh import make_box, make_plane_patch, make_uv_sphere
+from hybridskin.raycast import Bvh, TriangleSet
 from references import (capacitance_scalar, capsule_mesh, conductive_distance_scalar,
                         encode_record, expected_counts_scalar, read_records, save_obj_by_line,
                         save_stl_per_material_by_face, tof_frames, tof_frames_merged)
@@ -239,7 +243,7 @@ def test_simulate_rejects_a_non_finite_duration(tmp_path, capsys, monkeypatch, d
 
 
 @pytest.mark.parametrize("site_id,reason", [
-    (2 ** 63, "chain mounts[1].site_id must be an integer, not 9223372036854775808"),
+    (2 ** 63, "chain mounts[1].site_id 9223372036854775808 does not fit in 64 bits"),
     (6.5, "chain mounts[1].site_id must be an integer, not 6.5"),
     ("3", "chain mounts[1].site_id must be an integer, not '3'"),
 ])
@@ -498,6 +502,22 @@ def test_simulate_rejects_a_malformed_input_file_naming_it_and_the_path(
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_rejects_a_scene_object_with_both_a_mesh_and_a_primitive(tmp_path, capsys,
+                                                                          monkeypatch):
+    # Either would make a mesh; taking one would silently drop the other.
+    never_schedule(monkeypatch)
+    cfg = wall_fixture(tmp_path)
+    box = tmp_path / "box.stl"
+    meshio.save_stl(make_box((0.1, 0.1, 0.1)), box)
+    write_json(tmp_path / "scene.json", {"objects": [
+        WALL, {**WALL, "mesh": str(box), "primitive": {"kind": "sphere", "radius": 5.0}}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": "scene objects[1] gives both a mesh and a primitive"}
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_same_seed_is_byte_identical(tmp_path):
     cfg = wall_fixture(tmp_path, duration=2.0)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -544,6 +564,43 @@ def test_simulate_builds_one_bvh_per_frame_time_and_keeps_none(tmp_path, monkeyp
     # the wall's 8 once, the hand's 12 at each frame time.
     assert [n for n, _ in built] == [20, 8] + [12] * 12
     assert all(ref() is None for _, ref in built)
+
+
+def test_simulate_prepares_each_static_objects_triangles_once(tmp_path, monkeypatch):
+    # A static conductive plate, a static non-conductive post and a conductive
+    # mover: the ToF cast and the SC pass read each static object through the
+    # one tree the run builds for it.
+    from hybridskin import raycast
+    cfg_path = wall_fixture(tmp_path, duration=1.0, site_ids=(0, 1))
+    scene = {"objects": [
+        {"name": "plate", "conductive": True,
+         "primitive": {"kind": "plane", "width": 1.0, "height": 1.0, "nx": 2, "ny": 2,
+                       "center": [0.0, 0.0, 0.5]}},
+        {"name": "post", "primitive": {"kind": "cylinder", "radius": 0.05, "height": 1.0,
+                                       "segments": 5, "center": [0.3, 0.0, 1.0]}},
+        {"name": "hand", "conductive": True, "primitive": {"kind": "box", "size": [0.1] * 3},
+         "keyframes": [{"t": 0.0, "translation": [0.0, 0.0, 0.3]},
+                       {"t": 1.0, "translation": [0.1, 0.0, 0.2]}]}]}
+    scene_path = write_json(tmp_path / "three.json", scene)
+    statics = [obj.mesh for obj in cli.load_scene(scene_path).objects[:2]]
+    prepared = [0, 0]
+    prepare = raycast.TriangleSet.__init__
+
+    def counted(self, vertices, faces):
+        for k, mesh in enumerate(statics):
+            prepared[k] += (np.array_equal(vertices, mesh.vertices)
+                            and np.array_equal(faces, mesh.faces))
+        prepare(self, vertices, faces)
+
+    monkeypatch.setattr(raycast.TriangleSet, "__init__", counted)
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["simulation"]["scene"] = scene_path
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    assert prepared == [1, 1]
+    records = read_records(out / "samples.jsonl")
+    assert any(r["type"] == "sc" for r in records) and any(r["type"] == "tof" for r in records)
 
 
 def test_simulate_counts_follow_the_nearest_conductive_object(tmp_path):
@@ -604,12 +661,18 @@ def sc_scene(conductive=True):
     return Scene(objects=[box, wall, ball, plate])
 
 
+def static_trees(scene):
+    """One Bvh per static object and None per mover, as simulate builds them."""
+    return [None if obj.keyframes else Bvh(TriangleSet(obj.mesh.vertices, obj.mesh.faces))
+            for obj in scene.objects]
+
+
 def test_conductive_distances_match_the_per_sample_form():
     rng = np.random.default_rng(22)
     scene = sc_scene()
     times = np.concatenate([[0.0, 0.4, 2.0], rng.uniform(0.0, 2.0, size=5000)])
     points = rng.uniform(-0.4, 0.4, size=(len(times), 3))
-    got = cli._conductive_distances(scene, times, points)
+    got = cli._conductive_distances(scene, static_trees(scene), times, points)
     expected = [conductive_distance_scalar(scene, t, p) for t, p in zip(times, points)]
     assert np.array_equal(got, expected)
 
@@ -619,11 +682,12 @@ def test_conductive_distances_in_many_blocks_equal_one_block(monkeypatch):
     scene = sc_scene()
     times = rng.uniform(0.0, 2.0, size=700)
     points = rng.uniform(-0.4, 0.4, size=(len(times), 3))
-    one_block = cli._conductive_distances(scene, times, points)
+    trees = static_trees(scene)
+    one_block = cli._conductive_distances(scene, trees, times, points)
     monkeypatch.setattr(cli, "_DISTANCE_ROWS", 1000)  # 1000 // 100 ball faces: 10 samples a block
-    assert np.array_equal(cli._conductive_distances(scene, times, points), one_block)
+    assert np.array_equal(cli._conductive_distances(scene, trees, times, points), one_block)
     monkeypatch.setattr(cli, "_DISTANCE_ROWS", 1)
-    assert np.array_equal(cli._conductive_distances(scene, times[:50], points[:50]),
+    assert np.array_equal(cli._conductive_distances(scene, trees, times[:50], points[:50]),
                           one_block[:50])
 
 
@@ -631,12 +695,13 @@ def test_sc_pass_without_conductive_objects_or_samples_reads_c0():
     from hybridskin import sc
     electrode = sc.ElectrodeModel(t_cov=0.006, delta_max=0.004)
     times = np.linspace(0.0, 2.0, 40)
-    d = cli._conductive_distances(sc_scene(conductive=False), times, np.zeros((40, 3)))
+    scene = sc_scene(conductive=False)
+    d = cli._conductive_distances(scene, static_trees(scene), times, np.zeros((40, 3)))
     assert np.array_equal(d, np.full(40, np.inf))
     assert np.array_equal(sc.contact_capacitance(electrode, d), np.full(40, electrode.c0))
     # a zero-length stream: no block, no draw and no warning
     for scene in (sc_scene(), Scene()):
-        d = cli._conductive_distances(scene, np.zeros(0), np.zeros((0, 3)))
+        d = cli._conductive_distances(scene, static_trees(scene), np.zeros(0), np.zeros((0, 3)))
         assert d.shape == (0,)
         c = sc.contact_capacitance(electrode, d)
         assert sc.measure_counts(c, sc.MeasurementSpec(), True,
@@ -685,8 +750,8 @@ def two_level_against_merged(scene, times, poses, spec, sensor_ids=None):
     """The two-level cast and the merged-scene reference on fresh rng streams."""
     sensor_ids = sensor_ids or list(range(poses.rotation.shape[1]))
     rngs = lambda: [np.random.default_rng([5, k]) for k in range(len(sensor_ids))]
-    got = tof_frames(cli._tof_frames(scene, sensor_ids, times, poses, spec, rngs()),
-                     spec.nx, spec.ny)
+    got = tof_frames(cli._tof_frames(scene, static_trees(scene), sensor_ids, times, poses,
+                                     spec, rngs()), spec.nx, spec.ny)
     assert_same_frames(got, tof_frames_merged(scene, sensor_ids, times, poses, spec, rngs()))
     return got
 
@@ -792,9 +857,9 @@ def test_simulate_poses_and_measures_the_sc_stream_in_whole_array_passes(tmp_pat
     assert sum(r["type"] == "sc" for r in records) >= 3 * 40
     frame_times, conductive = 12, 2
     assert calls["scene_at"] == frame_times
-    # ToF: the static scene once and the movers at each frame time; SC: one
-    # set per conductive object
-    assert calls["triangle_sets"] == 1 + frame_times + conductive
+    # The static wall once for both streams, the movers at each ToF frame
+    # time, and the conductive hand once in the SC pass
+    assert calls["triangle_sets"] == 1 + frame_times + 1
     assert calls["distance"] == conductive  # one block
     assert calls["measure"] == 3  # one per nodule
 
@@ -1237,3 +1302,19 @@ def test_calibrate_infeasible_table_exits_4(tmp_path, capsys):
 def test_missing_config_file_exits_3(tmp_path):
     assert main(["calibrate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+def test_python_m_hybridskin_keeps_the_exit_codes_at_the_process_boundary(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "hybridskin", *argv],
+                                       capture_output=True, text=True, env=env, timeout=120)
+    shown = run("--help")
+    assert shown.returncode == 0 and "calibrate" in shown.stdout
+    failed = run("calibrate", "--set", "table.seeds=0", "--out", str(tmp_path / "cal"))
+    assert failed.returncode == 2
+    [line] = failed.stderr.splitlines()
+    assert json.loads(line) == {"error": "ValueError",
+                                "message": "config table.seeds must be at least 1, not 0"}
+    assert not (tmp_path / "cal").exists()
