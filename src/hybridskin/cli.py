@@ -67,12 +67,9 @@ def load_scene(path) -> Scene:
     for k, entry in enumerate(cfgmod.read_json(path, SCENE_SCHEMA, "scene")["objects"]):
         if entry["mesh"] and entry["primitive"]:
             raise ValueError(f"scene objects[{k}] gives both a mesh and a primitive")
-        if entry["mesh"]:
-            mesh = meshio.load_mesh(entry["mesh"], units=entry["units"])
-        elif entry["primitive"]:
-            mesh = _mesh_from_spec(entry["primitive"])
-        else:
+        if not (entry["mesh"] or entry["primitive"]):
             raise ValueError(f"scene objects[{k}] needs a mesh or a primitive")
+        mesh = _mesh_from_spec(entry["mesh"] or entry["primitive"], entry["units"])
         keyframes = sorted(((kf["t"], Pose(kf["rotation"], kf["translation"]))
                             for kf in entry["keyframes"]), key=lambda kv: kv[0])
         objects.append(SceneObject(mesh=mesh, conductive=entry["conductive"],
@@ -202,8 +199,7 @@ def _tof_frames(scene: Scene, trees, sensor_ids, times, poses: Pose, spec,
     rays, goes through each of them as one packet; a per-object tree keeps
     the room's large boxes out of the obstacle's nodes. Each frame time then
     casts its rays through a Bvh of only its posed movers, and a ray keeps
-    the smallest distance. A frame takes only the distance and whether
-    anything was hit, and a (ray, triangle) pair gives the same t in any
+    the smallest distance. A (ray, triangle) pair gives the same t in any
     Bvh, so the frames are those of one Bvh over the whole posed scene at
     each time. No movers' Bvh outlives its frame time. One capture_frames
     call over every time adds the noise, the same draws as one call per block.
@@ -211,24 +207,21 @@ def _tof_frames(scene: Scene, trees, sensor_ids, times, poses: Pose, spec,
     per_time = len(sensor_ids) * spec.nx * spec.ny
     step = max(1, _TOF_RAYS // per_time)
     dist = np.empty(len(times) * per_time)
-    hit = np.empty(len(dist), dtype=bool)
     for start in range(0, len(times), step):
         origins, directions = tof.zone_rays(poses[start:start + step], spec)
         block = slice(start * per_time, start * per_time + len(origins))
-        dist[block], hit[block] = np.inf, False
+        dist[block] = np.inf
         for bvh in filter(None, trees):
-            t_obj, idx = bvh.raycast_many(origins, directions, spec.max_range)
+            t_obj = bvh.raycast_many(origins, directions, spec.max_range)
             dist[block] = np.minimum(dist[block], t_obj)
-            hit[block] |= idx >= 0
         for j, t in enumerate(times[start:start + step].tolist()):
             movers = [m for (m, _), bvh in zip(scene.at(t), trees) if bvh is None]
             rays = slice(j * per_time, (j + 1) * per_time)
             rows = slice((start + j) * per_time, (start + j + 1) * per_time)
-            t_mov, idx_mov = Bvh(TriangleSet.from_meshes(movers)).raycast_many(
+            t_mov = Bvh(TriangleSet.from_meshes(movers)).raycast_many(
                 origins[rays], directions[rays], spec.max_range)
             dist[rows] = np.minimum(dist[rows], t_mov)
-            hit[rows] |= idx_mov >= 0
-    return tof.capture_frames(sensor_ids, times, dist, hit, spec, rngs)
+    return tof.capture_frames(sensor_ids, times, dist, spec, rngs)
 
 
 def _conductive_distances(scene: Scene, trees, times, points):

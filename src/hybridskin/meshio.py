@@ -118,11 +118,17 @@ def save_stl_per_material(mesh: TriMesh, base_path):
 
 
 def load_obj(path, units="m"):
-    """Positions and triangle faces only; groups/normals/uvs are ignored."""
+    """Positions and triangle faces only; groups/normals/uvs are ignored.
+
+    A face index counts from 1, or back from the last vertex read when
+    negative. An index of 0, one past the file's last vertex or one before
+    its first raises ValueError naming the file and the line.
+    """
     scale = _scale_for(units)
     verts = []
     faces = []
-    for line in Path(path).read_text().splitlines():
+    face_lines = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split()
         if not parts:
             continue
@@ -131,11 +137,21 @@ def load_obj(path, units="m"):
                           float(parts[3]) * scale])
         elif parts[0] == "f":
             idx = [int(p.split("/")[0]) for p in parts[1:]]
+            for i in idx:
+                if i == 0 or i < -len(verts):
+                    raise ValueError(f"OBJ {path} line {n}: face index {i} names no "
+                                     f"vertex ({len(verts)} read so far)")
             idx = [i - 1 if i > 0 else len(verts) + i for i in idx]
             for k in range(1, len(idx) - 1):  # fan-triangulate polygons
                 faces.append([idx[0], idx[k], idx[k + 1]])
+                face_lines.append(n)
     if not faces:
         raise ValueError(f"OBJ {path} contains no faces")
+    beyond = np.max(faces, axis=1) >= len(verts)
+    if beyond.any():
+        k = int(np.argmax(beyond))
+        raise ValueError(f"OBJ {path} line {face_lines[k]}: face index {max(faces[k]) + 1} "
+                         f"is past the last of its {len(verts)} vertices")
     verts = np.array(verts, dtype=np.float64).reshape(-1, 3)
     _require_finite(verts, path, "vertex")
     return TriMesh.from_arrays(verts, faces)

@@ -3,18 +3,19 @@
 The traversal evaluates one row-wise Moller-Trumbore kernel on float64
 inputs: row k tests ray k against triangle k, so a (ray, triangle) pair
 computes the same bits whichever batch it comes from, and the accelerated
-result is bit-identical to testing every triangle. Ties on distance
-resolve to the lowest triangle index. Triangles are double-sided (no
-backface culling): a depth sensor sees whatever surface crosses its ray.
-A scene split over several Bvhs therefore gives, as the smaller of the
-per-Bvh distances, the bits one Bvh over the whole scene gives: simulate
-keeps one Bvh per static object for the run and builds one over the
-posed movers at each frame time.
+distance is bit-identical to the smallest over every triangle. Triangles
+are double-sided (no backface culling): a depth sensor sees whatever
+surface crosses its ray. A scene split over several Bvhs therefore gives,
+as the smaller of the per-Bvh distances, the bits one Bvh over the whole
+scene gives: simulate keeps one Bvh per static object for the run and
+builds one over the posed movers at each frame time.
 
-Bvh.raycast_many casts a packet of rays breadth-first: each level runs a
-vectorized slab test over all live (ray, node) pairs, expands the pairs
-that reach a leaf into (ray, triangle) rows for the kernel, and keeps per
-ray the nearest hit found so far, which culls later pairs.
+Bvh.raycast_many casts a packet of rays breadth-first and returns one
+distance per ray: each level runs a vectorized slab test over all live
+(ray, node) pairs, expands the pairs that reach a leaf into (ray, triangle)
+rows for the kernel, and folds their distances into each ray's nearest so
+far, which culls later pairs. Bvh.raycast casts one ray and also names the
+triangle hit, the lowest index among those at the nearest distance.
 """
 
 import numpy as np
@@ -114,8 +115,7 @@ class Bvh:
 
     Nodes live in arrays: node_lo/node_hi (N, 3) boxes, node_child (N, 2)
     child indices ((-1, -1) for leaves) and node_range (N, 2) as
-    (start, count) into order, which lists a leaf's triangles ascending.
-    Node 0 is the root.
+    (start, count) into order. Node 0 is the root.
     """
 
     def __init__(self, tris: TriangleSet, leaf_size=4):
@@ -166,9 +166,7 @@ class Bvh:
             self.node_range[ids, 1] = counts
             axis = np.argmax(box_hi - box_lo, axis=1)
             split = counts > self.leaf_size
-            # Leaves list their triangles ascending, which keeps ties stable.
-            key = np.where(split[seg], centroid[tri, axis[seg]], tri)
-            perm = np.argsort(key, kind="stable")
+            perm = np.argsort(centroid[tri, axis[seg]], kind="stable")
             perm = perm[np.argsort(seg[perm], kind="stable")]
             order[pos] = tri[perm]
 
@@ -183,20 +181,24 @@ class Bvh:
         return n_nodes
 
     def raycast(self, origin, direction, max_range=np.inf):
-        """Nearest hit of one ray: (distance, triangle_index) or None."""
-        t, idx = self.raycast_many([origin], [direction], max_range)
-        return None if idx[0] < 0 else (float(t[0]), int(idx[0]))
+        """Nearest hit of one ray: (distance, triangle_index) or None. On a
+        tie the index is the lowest of the triangles at that distance."""
+        o, d = _ray_arrays([origin], [direction])
+        t = self.raycast_many(o, d, max_range)[0]
+        if t == np.inf:
+            return None
+        every = _intersect_rows(o, d, self.tris.v0, self.tris.e1, self.tris.e2)
+        return float(t), int(np.argmax(every == t))
 
     def raycast_many(self, origins, directions, max_range=np.inf):
-        """Nearest hit of every ray: (t, idx) arrays, idx = -1 and t = inf
-        where nothing lies within max_range. Row k is exactly the nearest
-        hit over all triangles, ties going to the lowest index.
+        """Distance along every ray to its nearest hit; inf where nothing
+        lies within max_range. Row k is exactly the smallest _intersect_rows
+        distance over all triangles.
         """
         o, d = _ray_arrays(origins, directions)
         best_t = np.full(len(o), np.inf)
-        best_idx = np.full(len(o), -1, dtype=np.int64)
         if len(o) == 0 or self.tris.n_triangles == 0:
-            return best_t, best_idx
+            return best_t
         with np.errstate(divide="ignore"):
             inv_d = np.where(d == 0.0, np.inf, 1.0 / d)
         rays = np.arange(len(o))
@@ -222,36 +224,24 @@ class Bvh:
                 r, k = r[~culled], k[~culled]
                 leaf = self.node_child[k, 0] < 0
                 if np.any(leaf):
-                    self._leaf_hits(o, d, r[leaf], k[leaf], best_t, best_idx)
+                    self._leaf_hits(o, d, r[leaf], k[leaf], best_t)
                 r, k = r[~leaf], k[~leaf]
                 next_rays += [r, r]
                 next_nodes += [self.node_child[k, 0], self.node_child[k, 1]]
             rays = np.concatenate(next_rays)
             nodes = np.concatenate(next_nodes)
-        miss = best_t > max_range
-        best_t[miss] = np.inf
-        best_idx[miss] = -1
-        return best_t, best_idx
+        best_t[best_t > max_range] = np.inf
+        return best_t
 
-    def _leaf_hits(self, o, d, rays, leaves, best_t, best_idx):
-        """Test (ray, leaf) pairs triangle by triangle; update the bests."""
+    def _leaf_hits(self, o, d, rays, leaves, best_t):
+        """Test (ray, leaf) pairs triangle by triangle; fold into best_t."""
         start, count = self.node_range[leaves, 0], self.node_range[leaves, 1]
         rows = np.repeat(rays, count)
         offsets = np.cumsum(count) - count
         tri = self.order[np.repeat(start - offsets, count) + np.arange(rows.size)]
         t = _intersect_rows(o[rows], d[rows], self.tris.v0[tri], self.tris.e1[tri],
                             self.tris.e2[tri])
-        hit = t < np.inf
-        rows, tri, t = rows[hit], tri[hit], t[hit]
-        # Per ray, the smallest t and on a tie the lowest triangle index.
-        first = np.lexsort((tri, t, rows))
-        rows, tri, t = rows[first], tri[first], t[first]
-        keep = np.ones(rows.size, dtype=bool)
-        keep[1:] = rows[1:] != rows[:-1]
-        rows, tri, t = rows[keep], tri[keep], t[keep]
-        better = (t < best_t[rows]) | ((t == best_t[rows]) & (tri < best_idx[rows]))
-        best_t[rows[better]] = t[better]
-        best_idx[rows[better]] = tri[better]
+        np.minimum.at(best_t, rows, t)
 
 
 def point_mesh_distance(points, tris: TriangleSet):

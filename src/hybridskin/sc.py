@@ -147,8 +147,6 @@ class InterferenceCalibration:
     sigma_base: float      # counts, ToF idle
     sigma_tof: float       # extra counts-sigma injected by an active ToF
     signal_delta: float    # counts, contact signal used for the fit
-    snr_with_tof: float
-    snr_without_tof: float
 
 
 def calibrate_interference(snr_with_tof: float, snr_without_tof: float,
@@ -172,8 +170,7 @@ def calibrate_interference(snr_with_tof: float, snr_without_tof: float,
     sigma_no = signal_delta / snr_without_tof
     sigma_with = signal_delta / snr_with_tof
     sigma_tof = math.sqrt(sigma_with ** 2 - sigma_no ** 2)
-    return InterferenceCalibration(sigma_no, sigma_tof, signal_delta,
-                                   snr_with_tof, snr_without_tof)
+    return InterferenceCalibration(sigma_no, sigma_tof, signal_delta)
 
 
 @dataclass(frozen=True)

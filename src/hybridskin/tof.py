@@ -2,14 +2,15 @@
 
 Each frame casts one center ray per zone of an nx x ny grid spanning the
 configured field of view, returning the nearest surface distance up to
-max_range with additive Gaussian range noise. Zones that hit nothing in
-range report NO_TARGET (NaN distance, valid=False).
+max_range with additive Gaussian range noise. A zone is valid exactly
+where its cast distance is finite; zones that hit nothing in range report
+NO_TARGET (NaN distance, valid=False).
 
 zone_rays is the one definition of where each zone looks: the caster casts
 along it and analysis.reconstruct back-projects along it. capture_frames
-turns the cast distances and hit mask of a block of frame times, every
-sensor at each, into one ToFTable of frames with noise; capture_frame
-casts one sensor's zone rays through a Bvh and is its one-frame case.
+turns the cast distances of a block of frame times, every sensor at each,
+into one ToFTable of frames with noise; capture_frame casts one sensor's
+zone rays through a Bvh and is its one-frame case.
 """
 
 import functools
@@ -80,23 +81,24 @@ def zone_rays(poses: Pose, spec: ToFSpec):
     return np.repeat(origins, len(local), axis=0), (d / norm).reshape(-1, 3)
 
 
-def capture_frames(sensor_ids, times, dist, hit, spec: ToFSpec, rngs) -> ToFTable:
+def capture_frames(sensor_ids, times, dist, spec: ToFSpec, rngs) -> ToFTable:
     """One frame per sensor per time, from cast zone distances: a ToFTable
     whose row j * len(sensor_ids) + k is sensor k at times[j].
 
-    dist and hit are the distances and hit mask of the zone_rays of the
-    (times, sensors) pose stack, len(times) * len(sensor_ids) * nx * ny rows.
-    Gaussian range noise, then a clamp to (0, max_range]. Each sensor draws
-    its noise for the whole block from its own rng in one call, the same
-    stream as one (nx, ny) draw per frame, whatever it hits, so the rng
-    streams do not depend on scene content.
+    dist holds the cast distances (inf where nothing lies in range) of the
+    zone_rays of the (times, sensors) pose stack, len(times) *
+    len(sensor_ids) * nx * ny rows; a zone is valid where its distance is
+    finite. Gaussian range noise, then a clamp to (0, max_range]. Each
+    sensor draws its noise for the whole block from its own rng in one
+    call, the same stream as one (nx, ny) draw per frame, whatever it hits,
+    so the rng streams do not depend on scene content.
     """
     if len(sensor_ids) != len(rngs):
         raise ValueError("capture_frames needs one rng per sensor")
     n_zones = spec.nx * spec.ny
     shape = (len(times), len(sensor_ids), n_zones)
-    valid = np.asarray(hit, dtype=bool).reshape(shape)
     dist = np.asarray(dist, dtype=np.float64).reshape(shape)
+    valid = np.isfinite(dist)
     if spec.range_noise_sigma > 0.0 and len(rngs):
         noise = np.stack([rng.normal(0.0, spec.range_noise_sigma, size=(len(times), n_zones))
                           for rng in rngs], axis=1)
@@ -113,8 +115,8 @@ def capture_frame(sensor_id: int, sensor_pose: Pose, bvh: Bvh, t: float,
     """One sensor's frame, its zone rays cast through bvh, as a one-row
     ToFTable; see capture_frames."""
     origins, directions = zone_rays(sensor_pose[None], spec)
-    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
-    return capture_frames([sensor_id], [t], dist, idx >= 0, spec, [rng])
+    dist = bvh.raycast_many(origins, directions, spec.max_range)
+    return capture_frames([sensor_id], [t], dist, spec, [rng])
 
 
 def frame_times(duration: float, spec: ToFSpec):

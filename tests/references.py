@@ -311,9 +311,8 @@ def capture_frames_through(bvh, sensor_ids, poses: Pose, t: float, spec: ToFSpec
     noise = [rng.normal(0.0, spec.range_noise_sigma, size=shape)
              if spec.range_noise_sigma > 0.0 else np.zeros(shape) for rng in rngs]
     origins, directions = zone_rays(poses, spec)
-    dist, idx = bvh.raycast_many(origins, directions, spec.max_range)
-    dist = dist.reshape((-1,) + shape)
-    valid = idx.reshape((-1,) + shape) >= 0
+    dist = bvh.raycast_many(origins, directions, spec.max_range).reshape((-1,) + shape)
+    valid = np.isfinite(dist)
     frames = []
     for k, sensor_id in enumerate(sensor_ids):
         d = np.minimum(np.maximum(dist[k] + noise[k], 1e-6), spec.max_range)

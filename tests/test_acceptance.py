@@ -169,18 +169,15 @@ def test_criterion_5_bvh_matches_brute_force():
             origins = rng.uniform(-3, 3, size=(10_000, 3))
             dirs = rng.normal(size=(10_000, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            many_t, many_idx = bvh.raycast_many(origins, dirs)
+            many_t = bvh.raycast_many(origins, dirs)
             for k, (o, d) in enumerate(zip(origins, dirs)):
                 expect = raycast_brute_force(tris, o, d)
-                got = None if many_idx[k] < 0 else (float(many_t[k]), int(many_idx[k]))
                 if k % 100 == 0:
-                    assert bvh.raycast(o, d) == got
+                    assert bvh.raycast(o, d) == expect
                 if expect is None:
-                    assert got is None
+                    assert many_t[k] == np.inf
                 else:
-                    assert got is not None
-                    assert got[1] == expect[1]
-                    assert abs(got[0] - expect[0]) <= 1e-9
+                    assert abs(many_t[k] - expect[0]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

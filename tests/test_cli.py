@@ -142,6 +142,24 @@ def test_simulate_with_a_nan_in_a_scene_mesh_exits_2_naming_the_file(tmp_path, c
     assert not (out / "samples.jsonl").exists()
 
 
+def test_simulate_with_a_scene_obj_face_past_its_vertices_exits_2_naming_the_file(
+        tmp_path, capsys):
+    cfg_path = wall_fixture(tmp_path)
+    cfg = json.loads(Path(cfg_path).read_text())
+    scene = json.loads(Path(cfg["simulation"]["scene"]).read_text())
+    obstacle = tmp_path / "obstacle.obj"
+    obstacle.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
+    scene["objects"].append({"name": "obstacle", "mesh": str(obstacle)})
+    cfg["simulation"]["scene"] = write_json(tmp_path / "scene_obj.json", scene)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": f"OBJ {obstacle} line 4: face index 9 is past the last of its 3 vertices"}
+    assert not (out / "samples.jsonl").exists()
+
+
 def test_generate_link_scale_manifest_lists_40_sites(tmp_path):
     cfg = generate_config(
         tmp_path,
@@ -515,6 +533,18 @@ def test_simulate_rejects_a_scene_object_with_both_a_mesh_and_a_primitive(tmp_pa
     assert error_of(capsys) == {
         "error": "ValueError",
         "message": "scene objects[1] gives both a mesh and a primitive"}
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_rejects_a_scene_object_with_neither_a_mesh_nor_a_primitive(tmp_path, capsys,
+                                                                             monkeypatch):
+    never_schedule(monkeypatch)
+    cfg = wall_fixture(tmp_path)
+    write_json(tmp_path / "scene.json", {"objects": [WALL, {"name": "ghost"}]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+    assert error_of(capsys) == {
+        "error": "ValueError",
+        "message": "scene objects[1] needs a mesh or a primitive"}
     assert not (tmp_path / "sim").exists()
 
 

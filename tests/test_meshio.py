@@ -89,6 +89,25 @@ def test_obj_negative_indices_resolve_relatively(tmp_path):
     assert np.array_equal(mesh.faces[0], [0, 1, 2])
 
 
+@pytest.mark.parametrize("face, message", [
+    ("1 2 9", "face index 9 is past the last of its 3 vertices"),
+    ("0 1 2", "face index 0 names no vertex (3 read so far)"),
+    ("-5 1 2", "face index -5 names no vertex (3 read so far)")])
+def test_obj_face_index_naming_no_vertex_is_rejected_naming_the_file_and_line(
+        tmp_path, face, message):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf {face}\n")
+    with pytest.raises(ValueError, match=rf"^OBJ {re.escape(str(path))} line 5: "
+                                         rf"{re.escape(message)}$"):
+        load_obj(path)
+
+
+def test_obj_positive_indices_may_name_vertices_listed_later(tmp_path):
+    path = tmp_path / "late.obj"
+    path.write_text("v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n")
+    assert np.array_equal(load_obj(path).faces, [[0, 1, 2]])
+
+
 def test_load_mesh_dispatches_on_extension(tmp_path):
     box = make_box()
     save_stl(box, tmp_path / "a.stl")

@@ -105,23 +105,18 @@ def test_empty_scene_is_a_miss():
 # packet traversal: raycast_many must equal brute force exactly
 # ---------------------------------------------------------------------------
 
-def brute_force_many(tris, origins, directions, max_range=np.inf):
-    """Per-ray reference in raycast_many's (t, idx) layout."""
-    t = np.full(len(origins), np.inf)
-    idx = np.full(len(origins), -1, dtype=np.int64)
-    for k, (o, d) in enumerate(zip(origins, directions)):
-        hit = raycast_brute_force(tris, o, d, max_range)
-        if hit is not None:
-            t[k], idx[k] = hit
-    return t, idx
-
-
 def assert_matches_brute_force(bvh, origins, directions, max_range=np.inf):
-    got_t, got_idx = bvh.raycast_many(origins, directions, max_range)
-    exp_t, exp_idx = brute_force_many(bvh.tris, origins, directions, max_range)
-    assert np.array_equal(got_idx, exp_idx)
+    """raycast_many equals the brute-force distances bit for bit, and
+    raycast, ray by ray, the brute-force (distance, triangle index)."""
+    got_t = bvh.raycast_many(origins, directions, max_range)
+    exp_t = np.full(len(origins), np.inf)
+    for k, (o, d) in enumerate(zip(origins, directions)):
+        hit = raycast_brute_force(bvh.tris, o, d, max_range)
+        assert bvh.raycast(o, d, max_range) == hit
+        if hit is not None:
+            exp_t[k] = hit[0]
     assert np.array_equal(got_t, exp_t)  # == on the floats, no tolerance
-    return got_idx
+    return got_t
 
 
 def unit_rows(rng, n):
@@ -141,8 +136,8 @@ def test_raycast_many_equals_brute_force_on_random_scenes():
         aimed = targets - origins[:300]
         dirs = np.concatenate([aimed / np.linalg.norm(aimed, axis=1)[:, None],
                                unit_rows(rng, 300)])
-        idx = assert_matches_brute_force(bvh, origins, dirs)
-        assert (idx >= 0).sum() > 250
+        t = assert_matches_brute_force(bvh, origins, dirs)
+        assert np.isfinite(t).sum() > 250
 
 
 def test_raycast_many_axis_aligned_directions_with_zero_components():
@@ -160,8 +155,8 @@ def test_raycast_many_axis_aligned_directions_with_zero_components():
         dirs.append(d)
     dirs = np.repeat(np.array(dirs), 60, axis=0)
     origins = rng.uniform(-2, 2, size=(len(dirs), 3))
-    idx = assert_matches_brute_force(bvh, origins, dirs)
-    assert (idx >= 0).sum() > 20
+    t = assert_matches_brute_force(bvh, origins, dirs)
+    assert np.isfinite(t).sum() > 20
 
 
 def test_raycast_many_origins_on_slab_planes():
@@ -179,8 +174,8 @@ def test_raycast_many_origins_on_slab_planes():
         d[axis] = 0.0
         origins.append(o)
         dirs.append(d / np.linalg.norm(d))
-    idx = assert_matches_brute_force(bvh, np.array(origins), np.array(dirs))
-    assert (idx >= 0).sum() > 20
+    t = assert_matches_brute_force(bvh, np.array(origins), np.array(dirs))
+    assert np.isfinite(t).sum() > 20
 
 
 def test_raycast_many_rays_through_vertices_of_flat_boxes():
@@ -197,11 +192,11 @@ def test_raycast_many_rays_through_vertices_of_flat_boxes():
     aimed = vertices[rng.integers(len(vertices), size=1500)] - origins
     dirs = aimed / np.linalg.norm(aimed, axis=1)[:, None]
     for leaf_size in (1, 4):
-        idx = assert_matches_brute_force(Bvh(tris, leaf_size=leaf_size), origins, dirs)
-        assert (idx >= 0).sum() > 1000
+        t = assert_matches_brute_force(Bvh(tris, leaf_size=leaf_size), origins, dirs)
+        assert np.isfinite(t).sum() > 1000
 
 
-def test_raycast_many_equal_distance_hits_take_the_lowest_index():
+def test_raycast_equal_distance_hits_take_the_lowest_index():
     # The patch appears twice, its copies far apart in index order; with
     # one triangle per leaf every copy sits in its own leaf.
     patch = make_plane_patch(2, 2, 3, 3, center=(0, 0, 1.0))
@@ -211,8 +206,10 @@ def test_raycast_many_equal_distance_hits_take_the_lowest_index():
     origins = np.column_stack([rng.uniform(-0.9, 0.9, size=(300, 2)), np.zeros(300)])
     dirs = np.tile([0.0, 0.0, 1.0], (300, 1))
     for leaf_size in (1, 4):
-        idx = assert_matches_brute_force(Bvh(tris, leaf_size=leaf_size), origins, dirs)
-        assert np.all((idx >= 0) & (idx < patch.n_faces))  # the first copy
+        bvh = Bvh(tris, leaf_size=leaf_size)
+        assert np.isfinite(assert_matches_brute_force(bvh, origins, dirs)).all()
+        for o, d in zip(origins, dirs):
+            assert bvh.raycast(o, d)[1] < patch.n_faces  # the first copy
 
 
 def test_raycast_many_max_range_cut():
@@ -220,23 +217,23 @@ def test_raycast_many_max_range_cut():
     bvh = Bvh(random_scene(rng, n_triangles=150))
     origins = rng.uniform(-3, 3, size=(500, 3))
     dirs = unit_rows(rng, 500)
-    far_t, _ = bvh.raycast_many(origins, dirs)
+    far_t = bvh.raycast_many(origins, dirs)
     for max_range in (0.5, 1.5, float(np.median(far_t[np.isfinite(far_t)]))):
         assert_matches_brute_force(bvh, origins, dirs, max_range)
     # A hit exactly at max_range is kept; one just beyond it is cut.
     plane = Bvh(TriangleSet.from_meshes([make_plane_patch(4, 4, 2, 2, center=(0, 0, 2.0))]))
     o, d = np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]])
-    assert plane.raycast_many(o, d, 2.0)[1][0] >= 0
-    assert plane.raycast_many(o, d, np.nextafter(2.0, 0.0))[1][0] == -1
+    assert plane.raycast_many(o, d, 2.0)[0] == 2.0
+    assert plane.raycast_many(o, d, np.nextafter(2.0, 0.0))[0] == np.inf
 
 
 def test_raycast_many_empty_scene_and_zero_rays():
     empty = Bvh(TriangleSet.from_meshes([]))
-    t, idx = empty.raycast_many(np.zeros((3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1)))
-    assert np.all(np.isinf(t)) and np.all(idx == -1)
+    t = empty.raycast_many(np.zeros((3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1)))
+    assert np.all(np.isinf(t))
     rng = np.random.default_rng(0)
-    t, idx = Bvh(random_scene(rng, 20)).raycast_many(np.zeros((0, 3)), np.zeros((0, 3)))
-    assert t.shape == (0,) and idx.shape == (0,)
+    t = Bvh(random_scene(rng, 20)).raycast_many(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert t.shape == (0,)
 
 
 def test_raycast_many_rejects_non_unit_and_misshaped_rays():

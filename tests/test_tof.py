@@ -140,8 +140,8 @@ def random_poses(rng, n):
 def cast_frames(caster, sensor_ids, times, poses, spec, rngs):
     """capture_frames of the zone rays of a (times, sensors) pose stack."""
     origins, directions = zone_rays(poses, spec)
-    dist, idx = caster.raycast_many(origins, directions, spec.max_range)
-    return capture_frames(sensor_ids, times, dist, idx >= 0, spec, rngs)
+    dist = caster.raycast_many(origins, directions, spec.max_range)
+    return capture_frames(sensor_ids, times, dist, spec, rngs)
 
 
 def test_capture_frames_equals_per_sensor_capture_frame():
@@ -195,13 +195,13 @@ def test_capture_frames_rays_are_the_zone_rays():
 
 def test_capture_frames_needs_one_pose_and_rng_per_sensor():
     spec = ToFSpec()
-    dist, hit = np.full(2 * 64, 1.0), np.ones(2 * 64, dtype=bool)
+    dist = np.full(2 * 64, 1.0)
     with pytest.raises(ValueError):
-        capture_frames([0, 1], [0.0], dist, hit, spec, [np.random.default_rng(0)])
+        capture_frames([0, 1], [0.0], dist, spec, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
-        capture_frames([0, 1], [0.0, 0.1], dist, hit, spec, [np.random.default_rng(0)] * 2)
+        capture_frames([0, 1], [0.0, 0.1], dist, spec, [np.random.default_rng(0)] * 2)
     for ids, times in (([], [0.0]), ([0], [])):
-        table = capture_frames(ids, times, np.zeros(0), np.zeros(0, dtype=bool), spec,
+        table = capture_frames(ids, times, np.zeros(0), spec,
                                [np.random.default_rng(0)] * len(ids))
         assert len(table) == 0 and table.sensor_ids.dtype == np.int64
         assert table.distances.shape == table.valid.shape == (0, 64)
